@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import AVWC, Channel, Distribution, product_rows_matrix
+from .channels import AVWC, Channel, Distribution, product_rows_matrix, simplex_grid
 from .feasibility import DEFAULT_TOL
 from .information import mi_from_arrays
 from .structure import test_symmetrisable
@@ -49,7 +48,6 @@ class BoundOptions:
     aux_iters: int = 50
     structure_tol: float = DEFAULT_TOL
     seed: int = 20240
-    threads: int = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,21 +78,6 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 # simplex helpers
 # ---------------------------------------------------------------------------
-
-def simplex_grid(dim: int, denominator: int) -> Iterable[np.ndarray]:
-    """All points with coordinates k/denominator summing to 1, lexicographic."""
-    if dim == 1:
-        yield np.ones(1)
-        return
-    for comp in itertools.combinations(range(denominator + dim - 1), dim - 1):
-        parts = []
-        prev = -1
-        for cut in comp:
-            parts.append(cut - prev - 1)
-            prev = cut
-        parts.append(denominator + dim - 2 - prev)
-        yield np.asarray(parts, dtype=float) / denominator
-
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort based)."""
@@ -274,21 +257,10 @@ def maximize_over_simplex(
     if grid_arg is not None:
         starts.insert(0, grid_arg)
 
-    def run(idx_start):
-        idx, start = idx_start
-        p, val, iters = _ascend_on_simplex(fn, np.asarray(start, dtype=float), opts)
-        return idx, p, val, iters
-
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            outcomes = list(pool.map(run, enumerate(starts)))
-    else:
-        outcomes = [run(item) for item in enumerate(starts)]
-
-    outcomes.sort(key=lambda item: item[0])
     best_p, best_val = None, -math.inf
     trace = []
-    for idx, p, val, iters in outcomes:
+    for idx, start in enumerate(starts):
+        p, val, iters = _ascend_on_simplex(fn, np.asarray(start, dtype=float), opts)
         trace.append({"stage": "ascent", "start": idx, "value": val, "iters": iters})
         if val > best_val + 1e-15:
             best_val = val

@@ -355,6 +355,25 @@ def product_rows_matrix(position_rows: Sequence[np.ndarray]) -> np.ndarray:
     return rows
 
 
+def simplex_grid(dim: int, denominator: int) -> Iterator[np.ndarray]:
+    """All points with coordinates k/denominator summing to 1, lexicographic.
+
+    This is the stars-and-bars enumeration of compositions of ``denominator``
+    into ``dim`` parts.  With a zero denominator no point exists and nothing
+    is yielded.
+    """
+    if denominator < 1:
+        return
+    for comp in itertools.combinations(range(denominator + dim - 1), dim - 1):
+        parts = []
+        prev = -1
+        for cut in comp:
+            parts.append(cut - prev - 1)
+            prev = cut
+        parts.append(denominator + dim - 2 - prev)
+        yield np.asarray(parts, dtype=float) / denominator
+
+
 def iid_extension(q: Distribution, n: int) -> Distribution:
     """Product distribution over length-n state sequences, lexicographic order."""
     if n < 1:

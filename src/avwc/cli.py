@@ -124,8 +124,6 @@ def _bound_options(args) -> BoundOptions:
         kwargs["starts"] = args.starts
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    threads = getattr(args, "threads", None)
-    kwargs["threads"] = threads if threads else (os.cpu_count() or 1)
     return BoundOptions(**kwargs)
 
 
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--n", type=int, default=0, help="also evaluate the n-letter bound")
     p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=int, default=None)
     p_bounds.add_argument("--seed", type=int, default=None)
-    p_bounds.add_argument("--threads", type=int, default=None)
     p_bounds.add_argument("--format", choices=("json", "text"), default="text")
     p_bounds.set_defaults(handler=cmd_bounds)
 

@@ -3,8 +3,10 @@
 A permutation member applies the inverse positional shuffle to every codeword
 and decoding set, so its error at a state sequence equals the base code's
 error at the shuffled sequence.  Averages over the whole permutation group
-therefore depend on a sequence only through its type, which gives a fast path
-that never materializes all n! members.
+therefore depend on a sequence only through its type: they are means of the
+base code over type classes, which cost O(|S|^n) and never materialize the
+n! members.  Only ``PermutationFamily`` and the explicit reference average in
+``permutation_mean_error`` walk the group itself.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .channels import (
     check_enumeration,
     iid_extension,
     sequence_symbols,
+    simplex_grid,
     word_matrix,
 )
 from .coding import (
@@ -100,7 +103,13 @@ def robustify(code: WiretapCode, avwc: AVWC) -> RandomCode:
 def type_class_sequences(s, state_count: int) -> list[tuple[int, ...]]:
     """Distinct sequences sharing the type of s, lexicographic order."""
     symbols = sequence_symbols(s, state_count)
-    return sorted(set(itertools.permutations(symbols)))
+    check_enumeration(state_count ** len(symbols), "type class enumeration")
+    key = sorted(symbols)
+    return [
+        seq
+        for seq in itertools.product(range(state_count), repeat=len(symbols))
+        if sorted(seq) == key
+    ]
 
 
 def permutation_mean_error(
@@ -125,20 +134,6 @@ def permutation_mean_error(
             count += 1
         return total / count
     raise ValueError(f"unknown method {method!r}")
-
-
-def state_types(state_count: int, n: int) -> list[Distribution]:
-    """All empirical distributions of length-n state sequences."""
-    types = []
-    for comp in itertools.combinations(range(n + state_count - 1), state_count - 1):
-        parts = []
-        prev = -1
-        for cut in comp:
-            parts.append(cut - prev - 1)
-            prev = cut
-        parts.append(n + state_count - 2 - prev)
-        types.append(Distribution(np.asarray(parts, dtype=float) / n))
-    return types
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,30 +161,28 @@ def verify_robustification(
     n, s_count = code.n, avwc.state_count
     check_enumeration(s_count**n, "robustification verification")
     sequences = list(itertools.product(range(s_count), repeat=n))
-    success = {}
-    for symbols in sequences:
-        success[symbols] = 1.0 - error_probability(code, avwc, symbols)
-    success_vec = np.array([success[symbols] for symbols in sequences])
+    success = np.array([1.0 - error_probability(code, avwc, s) for s in sequences])
 
-    weights = list(q_set) if q_set is not None else state_types(s_count, n)
+    if q_set is None:
+        q_set = [Distribution(p) for p in simplex_grid(s_count, n)]
     gamma = 0.0
-    for q in weights:
-        iid = iid_extension(q, n)
-        gamma = max(gamma, 1.0 - float(iid.probs @ success_vec))
+    for q in q_set:
+        gamma = max(gamma, 1.0 - float(iid_extension(q, n).probs @ success))
 
     coefficient = 3.0 * (n + 1) ** s_count
     bound = 1.0 - coefficient * gamma
-    rows = []
-    min_slack = math.inf
-    for symbols in sequences:
-        averaged = float(np.mean([success[t] for t in type_class_sequences(symbols, s_count)]))
-        rows.append((symbols, averaged, bound))
-        min_slack = min(min_slack, averaged - bound)
+    # the group average at s is the mean success over the type class of s
+    counts = (np.array(sequences)[:, :, None] == np.arange(s_count)).sum(axis=1)
+    _, type_index = np.unique(counts, axis=0, return_inverse=True)
+    type_index = type_index.reshape(-1)  # numpy 2.0.0 returns it as a column
+    averaged = np.bincount(type_index, weights=success) / np.bincount(type_index)
     return RobustificationReport(
         gamma=gamma,
-        min_slack=min_slack,
+        min_slack=float(np.min(averaged - bound)),
         bound_coefficient=coefficient,
-        per_sequence=tuple(rows),
+        per_sequence=tuple(
+            (s, float(averaged[t]), bound) for s, t in zip(sequences, type_index)
+        ),
     )
 
 
@@ -323,29 +316,19 @@ class PrefixCode:
         return int(self.codewords.shape[1])
 
 
-def _balanced_compositions(length: int, alphabet: int) -> list[tuple[int, ...]]:
-    comps = []
-    for comp in itertools.product(range(length + 1), repeat=alphabet):
-        if sum(comp) == length:
-            comps.append(comp)
-    comps.sort(key=lambda c: (max(c), c))
-    return comps
-
-
 def _constant_composition_pool(length: int, alphabet: int, minimum: int) -> list[tuple[int, ...]]:
+    """Words of whole composition classes, most balanced first, until ``minimum`` are pooled."""
+    compositions = sorted(
+        (tuple(int(c) for c in np.rint(p * length)) for p in simplex_grid(alphabet, length)),
+        key=lambda c: (max(c), c),
+    )
     pool: list[tuple[int, ...]] = []
-    for comp in _balanced_compositions(length, alphabet):
+    for comp in compositions:
         symbols = [s for s, cnt in enumerate(comp) for _ in range(cnt)]
-        pool.extend(sorted(set(itertools.permutations(symbols))))
+        pool.extend(type_class_sequences(symbols, alphabet))
         if len(pool) >= minimum:
             break
-    seen = set()
-    unique = []
-    for word in pool:
-        if word not in seen:
-            seen.add(word)
-            unique.append(word)
-    return unique
+    return pool
 
 
 def search_prefix_code(
@@ -523,7 +506,6 @@ def eliminate_randomness(
         errs = np.array([error_probability(m, avwc, s_pay) for m in members])
         member_err[s_pay] = errs
         member_succ[s_pay] = 1.0 - errs
-        member_leak[s_pay] = np.array([leakage_bits(m, avwc, s_pay) for m in members])
         member_cond[s_pay] = np.stack(
             [
                 conditional_output_given_position_channels(
@@ -531,6 +513,9 @@ def eliminate_randomness(
                 )
                 for m in members
             ]
+        )
+        member_leak[s_pay] = np.array(
+            [joint_mi_from_array(cond / j_count) for cond in member_cond[s_pay]]
         )
 
     worst_total, worst_total_seq = -1.0, None

@@ -93,13 +93,6 @@ def cond_typical_set(w: Channel, x_word, tp: TypicalityParams) -> list[tuple[int
     return [tuple(int(v) for v in row) for row in outputs[mask]]
 
 
-def _word_log_probs(vector: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """log2 of product probabilities for all words; -inf when a zero entry occurs."""
-    with np.errstate(divide="ignore"):
-        logs = np.log2(vector)
-    return logs[words].sum(axis=1)
-
-
 def word_probabilities(vector: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.prod(vector[words], axis=1)
 

@@ -276,10 +276,3 @@ def test_mixture_information_peaks_at_states():
         state_max = max(mutual_information(p, ch) for ch in family)
         assert grid_max <= state_max + 1e-6
         assert state_max <= grid_max + 1e-12
-
-
-def test_threads_do_not_change_results(bsc_pair_avwc):
-    serial = secrecy_lower_bound(bsc_pair_avwc, BoundOptions(starts=6, threads=1))
-    threaded = secrecy_lower_bound(bsc_pair_avwc, BoundOptions(starts=6, threads=4))
-    assert serial.value == threaded.value
-    assert np.array_equal(serial.argmax_p.probs, threaded.argmax_p.probs)

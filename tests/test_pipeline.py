@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avwc import (
     AVWC,
@@ -25,6 +27,7 @@ from avwc import (
     search_prefix_code,
     verify_robustification,
 )
+from avwc import pipeline
 from avwc.pipeline import PermutationFamily, permute_word, type_class_sequences
 
 
@@ -188,10 +191,11 @@ class TestReduceRandomCode:
 
 class TestPrefixSearch:
     def test_small_exhaustive_search(self, pipeline_avwc):
-        prefix = search_prefix_code(pipeline_avwc, 4, 3)
-        assert prefix.codewords.shape == (4, 3)
-        assert len({tuple(w) for w in prefix.codewords}) == 4
-        assert prefix.decoder.shape == (8,)
+        for k_count, prefix_len in ((4, 3), (1, 0)):
+            prefix = search_prefix_code(pipeline_avwc, k_count, prefix_len)
+            assert prefix.codewords.shape == (k_count, prefix_len)
+            assert len({tuple(w) for w in prefix.codewords}) == k_count
+            assert prefix.decoder.shape == (2**prefix_len,)
 
     def test_overfull_message_set_raises(self, pipeline_avwc):
         with pytest.raises(PrefixSearchFailureError):
@@ -266,6 +270,57 @@ class TestEliminateRandomness:
 def test_type_class_sequences_order():
     seqs = type_class_sequences((1, 0, 0), 2)
     assert seqs == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert type_class_sequences((2, 0, 2), 3) == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+
+
+@st.composite
+def small_codes(draw):
+    """A random binary code with its channel family: n <= 5, two or three states."""
+    n = draw(st.integers(1, 5))
+    s_count = draw(st.sampled_from([2, 3]))
+    j_count = draw(st.integers(1, 2))
+    l_count = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    avwc = AVWC(
+        main=tuple(Channel(rng.dirichlet(np.ones(2), size=2)) for _ in range(s_count)),
+        eaves=tuple(Channel(rng.dirichlet(np.ones(2), size=2)) for _ in range(s_count)),
+    )
+    decoder = rng.integers(-1, j_count, size=2**n)
+    code = make_code(
+        rng.integers(0, 2, size=(j_count, l_count, n)),
+        2,
+        2,
+        decoder=np.where(decoder < 0, ERASURE, decoder),
+    )
+    return code, avwc
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=small_codes(), picks=st.lists(st.integers(0, 3**5 - 1), min_size=1, max_size=3))
+def test_robustification_rows_equal_explicit_group_average(case, picks):
+    """Each type-class row is the success averaged over all n! members."""
+    code, avwc = case
+    report = verify_robustification(code, avwc)
+    assert len(report.per_sequence) == avwc.state_count**code.n
+    for pick in picks:
+        s, averaged, _ = report.per_sequence[pick % len(report.per_sequence)]
+        explicit = permutation_mean_error(code, avwc, s, method="explicit")
+        assert abs(averaged - (1.0 - explicit)) <= 1e-12
+        assert type_class_sequences(s, avwc.state_count) == sorted(set(itertools.permutations(s)))
+
+
+def test_type_averages_never_walk_the_group(monkeypatch, pipeline_avwc, pipeline_code):
+    """The type-class paths stay O(|S|^n): enumerating n! permutations is an error."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("n! permutation walk")
+
+    monkeypatch.setattr(pipeline.itertools, "permutations", forbidden)
+    report = verify_robustification(pipeline_code, pipeline_avwc)
+    assert report.passed
+    for s in itertools.product(range(2), repeat=4):
+        permutation_mean_error(pipeline_code, pipeline_avwc, s, method="type")
+    with pytest.raises(AssertionError, match="permutation walk"):
+        permutation_mean_error(pipeline_code, pipeline_avwc, (0, 1, 1, 0), method="explicit")
 
 
 def test_reduce_all_preset_keeps_family_means(pipeline_avwc):
