@@ -1,14 +1,22 @@
 """Numerical secrecy-capacity bounds for finite AVWCs.
 
+Every objective the optimizers call maps an (N, dim) array of points to N
+values through the array-valued kernel ``information.mi_batch``, so a grid
+sweep, the finite differences of one ascent step and one scan of a line
+search each cost a single call.  Line searches are batched bracket zooms:
+each round scans a few points across every bracket and keeps the neighbours
+of the best one.
+
 The inner minimization over mixture weights q is convex (mutual information
-is convex in the channel and the mixture map is affine), so it is solved by
-golden-section search for two states and Frank-Wolfe with exact line search
-in general.  The outer maximization over input distributions (and auxiliary
-channel pairs) is not concave; it is attacked with a multi-start ascent along
-vertex directions plus a coarse simplex-grid sweep used as a floor.  When the
-grid beats the ascent the difference is reported as ``certified_gap`` instead
-of being hidden.  Negative bound values are reported as computed: a rate
-below zero just means the bound is vacuous.
+is convex in the channel and the mixture map is affine), so it is solved for
+all input laws of a batch at once: by a zoom along the edge for two states
+and by Frank-Wolfe with a zoom line search in general.  The outer
+maximization over input distributions (and auxiliary channel pairs) is not
+concave; it is attacked with a multi-start ascent along vertex directions,
+all starts advancing together, plus a coarse simplex-grid sweep used as a
+floor.  When the grid beats the ascent the difference is reported as
+``certified_gap`` instead of being hidden.  Negative bound values are
+reported as computed: a rate below zero just means the bound is vacuous.
 """
 
 from __future__ import annotations
@@ -22,15 +30,26 @@ import numpy as np
 
 from .channels import AVWC, Channel, Distribution, product_rows_matrix, simplex_grid
 from .feasibility import DEFAULT_TOL
-from .information import mi_from_arrays
+from .information import mi_batch
 from .structure import test_symmetrisable
 
 _LOG_FLOOR = -1024.0  # stand-in for log2 of an exactly-zero transition
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# An objective maps an (N, dim) array of points to their (N,) values.
+Objective = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class BoundOptions:
-    """Optimizer knobs; the defaults target desk-scale instances."""
+    """Optimizer knobs; the defaults target desk-scale instances.
+
+    ``line_search_points`` is the number of points of each batched line-search
+    scan (at least 4 are used).  ``golden_iters`` sets line-search precision:
+    a line search stops once its bracket is no wider than inv_phi**golden_iters
+    of the searched interval, the final bracket of that many golden-section
+    steps.
+    """
 
     starts: int = 32
     p_grid_denominator: int = 64      # simplex grid step 1/64 while |A| <= 3
@@ -76,7 +95,7 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# simplex helpers
+# simplex helpers and the batched line search
 # ---------------------------------------------------------------------------
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -88,93 +107,111 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    candidates = [(fn(lo), lo), (fc, c), (fd, d), (fn(hi), hi)]
-    best = min(candidates, key=lambda t: t[0])
-    return best[1], best[0]
+def _line_max(
+    fn: Callable[[np.ndarray], np.ndarray], rows: int, opts: BoundOptions, iters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize ``rows`` functions of t on [0, 1] at once by a bracket zoom.
 
-
-def _golden_max(fn, lo, hi, iters):
-    t, v = _golden_min(lambda x: -fn(x), lo, hi, iters)
-    return t, -v
+    ``fn`` maps an (rows, m) array of steps to their values, row r holding
+    steps of the r-th function.  Each round scans m = ``line_search_points``
+    points across every bracket and keeps the neighbours of the best one,
+    until no bracket is wider than inv_phi**iters.  The search is exact for
+    unimodal functions.  Returns the best step and value of every row.
+    """
+    grid = np.linspace(0.0, 1.0, max(opts.line_search_points, 4))
+    index = np.arange(rows)
+    lo, width = np.zeros(rows), np.ones(rows)
+    best_t, best_v = np.zeros(rows), np.full(rows, -math.inf)
+    target = _INV_PHI**iters
+    while True:
+        ts = lo[:, None] + width[:, None] * grid
+        vals = fn(ts)
+        k = np.argmax(vals, axis=1)
+        better = vals[index, k] > best_v
+        best_t = np.where(better, ts[index, k], best_t)
+        best_v = np.where(better, vals[index, k], best_v)
+        new_lo = ts[index, np.maximum(k - 1, 0)]
+        new_width = ts[index, np.minimum(k + 1, len(grid) - 1)] - new_lo
+        # the widest bracket shrinks every round until floating point stalls it
+        if new_width.max() <= target or new_width.max() >= width.max():
+            return best_t, best_v
+        lo, width = new_lo, new_width
 
 
 # ---------------------------------------------------------------------------
 # inner minimization over mixture weights
 # ---------------------------------------------------------------------------
 
-def min_mi_over_mixtures(
-    px: np.ndarray, stack: np.ndarray, opts: BoundOptions
-) -> tuple[float, np.ndarray]:
-    """min over q of I(p, sum_s q_s W_s); convex in q."""
+def min_mi_over_mixtures(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
+    """min over q of I(p, sum_s q_s W_s); convex in q.
+
+    ``px`` is one input law (A,), giving ``(value, q)`` with q of shape (S,),
+    or a batch (N, A), giving values (N,) and weights (N, S).
+    """
+    px = np.asarray(px, dtype=float)
+    batch = np.atleast_2d(px)
     s_size = stack.shape[0]
     if s_size == 1:
-        return mi_from_arrays(px, stack[0]), np.ones(1)
-    if s_size == 2:
-        def phi(t: float) -> float:
-            return mi_from_arrays(px, (1.0 - t) * stack[0] + t * stack[1])
+        values, q = mi_batch(batch, stack[0]), np.ones((len(batch), 1))
+    elif s_size == 2:
+        def along_edge(ts: np.ndarray) -> np.ndarray:
+            mixed = np.tensordot(np.stack([1.0 - ts, ts], axis=-1), stack, axes=1)
+            return -mi_batch(batch[:, None, :], mixed)
 
-        t, val = _golden_min(phi, 0.0, 1.0, opts.golden_iters + 20)
-        return val, np.array([1.0 - t, t])
-    return _frank_wolfe_min(px, stack, opts)
+        t, neg = _line_max(along_edge, len(batch), opts, opts.golden_iters + 20)
+        values, q = -neg, np.stack([1.0 - t, t], axis=1)
+    else:
+        values, q = _frank_wolfe_min(batch, stack, opts)
+    if px.ndim == 1:
+        return float(values[0]), q[0]
+    return values, q
 
 
-def _frank_wolfe_min(px, stack, opts) -> tuple[float, np.ndarray]:
-    s_size = stack.shape[0]
-    best_q = None
-    best_val = math.inf
-    for q in simplex_grid(s_size, opts.q_grid_denominator):
-        val = mi_from_arrays(px, np.tensordot(q, stack, axes=1))
-        if val < best_val - 1e-15:
-            best_val = val
-            best_q = q
-    q = best_q.copy()
-    weighted = px[:, None] * stack  # (S, A, B), gradient weights
+def _frank_wolfe_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
+    """Frank-Wolfe from the best q-grid point, for every row of ``px`` at once.
+
+    A row leaves the batch once its Frank-Wolfe gap is at most ``fw_tol`` or
+    its line search stays at the current point.
+    """
+    grid = np.array(list(simplex_grid(stack.shape[0], opts.q_grid_denominator)))
+    vals = mi_batch(px[:, None, :], np.tensordot(grid, stack, axes=1))
+    q = grid[np.argmin(vals, axis=1)]
+    active = np.arange(len(px))
     for _ in range(opts.fw_max_iters):
-        mixed = np.tensordot(q, stack, axes=1)
-        out = px @ mixed
+        p = px[active]
+        mixed = np.tensordot(q[active], stack, axes=1)  # (R, A, B)
+        out = (p[:, None, :] @ mixed)[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.log2(mixed) - np.log2(out)[None, :]
+            log_ratio = np.log2(mixed) - np.log2(out)[:, None, :]
         log_ratio = np.where(mixed > 0.0, log_ratio, _LOG_FLOOR)
-        log_ratio = np.where(px[:, None] > 0.0, log_ratio, 0.0)
-        grad = np.einsum("sab,ab->s", weighted, log_ratio)
-        vertex = int(np.argmin(grad))
-        gap = float(grad @ q - grad[vertex])
-        if gap <= opts.fw_tol:
+        log_ratio = np.where(p[:, :, None] > 0.0, log_ratio, 0.0)
+        grad = np.einsum("ra,sab,rab->rs", p, stack, log_ratio)
+        vertex = np.argmin(grad, axis=1)
+        gap = np.sum(grad * q[active], axis=1) - grad[np.arange(len(active)), vertex]
+        keep = gap > opts.fw_tol
+        active, p, mixed, vertex = active[keep], p[keep], mixed[keep], vertex[keep]
+        if not active.size:
             break
-
         direction = stack[vertex] - mixed
 
-        def phi(t: float) -> float:
-            return mi_from_arrays(px, mixed + t * direction)
+        def along(ts: np.ndarray) -> np.ndarray:
+            trial = mixed[:, None] + ts[..., None, None] * direction[:, None]
+            return -mi_batch(p[:, None, :], trial)
 
-        t, _ = _golden_min(phi, 0.0, 1.0, opts.golden_iters)
-        if t <= 0.0:
+        t, _ = _line_max(along, len(active), opts, opts.golden_iters)
+        keep = t > 0.0
+        active, t, vertex = active[keep], t[keep], vertex[keep]
+        if not active.size:
             break
-        q = (1.0 - t) * q
-        q[vertex] += t
-        q = np.maximum(q, 0.0)
-        q /= q.sum()
-    return mi_from_arrays(px, np.tensordot(q, stack, axes=1)), q
+        moved = (1.0 - t)[:, None] * q[active]
+        moved[np.arange(len(active)), vertex] += t
+        moved = np.maximum(moved, 0.0)
+        q[active] = moved / moved.sum(axis=1, keepdims=True)
+    return mi_batch(px, np.tensordot(q, stack, axes=1)), q
 
 
 # ---------------------------------------------------------------------------
-# outer maximization over one simplex
+# outer maximization over a product of simplices
 # ---------------------------------------------------------------------------
 
 def _default_starts(dim: int, count: int, seed: int) -> list[np.ndarray]:
@@ -186,132 +223,202 @@ def _default_starts(dim: int, count: int, seed: int) -> list[np.ndarray]:
     return starts[:count]
 
 
-def _line_max(fn: Callable[[float], float], opts: BoundOptions) -> tuple[float, float]:
-    """Maximize fn on [0, 1]: coarse scan then golden refinement around the peak."""
-    ts = np.linspace(0.0, 1.0, opts.line_search_points)
-    vals = [fn(float(t)) for t in ts]
-    k = int(np.argmax(vals))
-    lo = float(ts[max(0, k - 1)])
-    hi = float(ts[min(len(ts) - 1, k + 1)])
-    t, v = _golden_max(fn, lo, hi, opts.golden_iters)
-    if vals[k] >= v:
-        return float(ts[k]), vals[k]
-    return t, v
+def _ascend(
+    fn: Objective, starts: np.ndarray, blocks: Sequence[slice], iters_cap: int, opts: BoundOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex-direction ascent over a product of simplices, every start at once.
 
-
-def _ascend_on_simplex(fn, start: np.ndarray, opts: BoundOptions) -> tuple[np.ndarray, float, int]:
-    p = start.copy()
-    value = fn(p)
+    Each row of ``starts`` is a point whose ``blocks`` are probability
+    vectors.  A step differentiates along every e_i - x_block (central
+    differences, forward ones at the boundary), all rows and directions in
+    one call of ``fn``, then line-searches the steepest direction of each row.
+    A row stops when no direction climbs or its line search gains nothing.
+    Returns the final points, their values and each row's iteration count.
+    """
+    x = np.array(starts, dtype=float)
+    count, dim = x.shape
+    value = fn(x)
+    iters = np.zeros(count, dtype=int)
+    active = np.arange(count)
     h = opts.fd_step
-    dim = len(p)
-    iters = 0
-    for _ in range(opts.ascent_iters):
-        iters += 1
-        derivs = np.full(dim, -math.inf)
-        for i in range(dim):
-            direction = -p.copy()
-            direction[i] += 1.0
-            if np.max(np.abs(direction)) < 1e-12:
-                continue
-            fwd = fn(p + h * direction)
-            if p[i] >= h / (1.0 + h):
-                back = fn(p - h * direction)
-                derivs[i] = (fwd - back) / (2.0 * h)
-            else:
-                derivs[i] = (fwd - value) / h
-        i_best = int(np.argmax(derivs))
-        if not derivs[i_best] > 1e-9:
+    eye = np.eye(dim)
+    for _ in range(iters_cap):
+        if not active.size:
             break
-        direction = -p.copy()
-        direction[i_best] += 1.0
-
-        def along(t: float) -> float:
-            return fn(p + t * direction)
-
-        t, new_value = _line_max(along, opts)
-        if new_value <= value + 1e-12:
+        iters[active] += 1
+        xa = x[active]
+        dirs = np.zeros((len(active), dim, dim))  # dirs[r, i] = e_i - x_block(i)
+        for block in blocks:
+            dirs[:, block, block] = eye[block, block] - xa[:, None, block]
+        moving = np.abs(dirs).max(axis=2) >= 1e-12
+        central = moving & (xa >= h / (1.0 + h))
+        steps = h * dirs
+        points = np.concatenate([(xa[:, None] + steps)[moving], (xa[:, None] - steps)[central]])
+        if not len(points):
             break
-        p = np.maximum(p + t * direction, 0.0)
-        p /= p.sum()
-        value = new_value
-    return p, value, iters
+        vals = fn(points)
+        fwd = np.full((len(active), dim), -math.inf)
+        fwd[moving] = vals[: moving.sum()]
+        back = np.zeros((len(active), dim))
+        back[central] = vals[moving.sum():]
+        derivs = np.where(central, (fwd - back) / (2.0 * h), (fwd - value[active, None]) / h)
+        best = np.argmax(derivs, axis=1)
+        climbing = np.flatnonzero(derivs[np.arange(len(active)), best] > 1e-9)
+        active, xa, direction = active[climbing], xa[climbing], dirs[climbing, best[climbing]]
+        if not active.size:
+            break
+
+        def along(ts: np.ndarray) -> np.ndarray:
+            trial = xa[:, None] + ts[..., None] * direction[:, None]
+            return fn(trial.reshape(-1, dim)).reshape(ts.shape)
+
+        t, new_value = _line_max(along, len(active), opts, opts.golden_iters)
+        up = np.flatnonzero(new_value > value[active] + 1e-12)
+        active = active[up]
+        moved = np.maximum(xa[up] + t[up, None] * direction[up], 0.0)
+        for block in blocks:
+            moved[:, block] /= moved[:, block].sum(axis=1, keepdims=True)
+        x[active], value[active] = moved, new_value[up]
+    return x, value, iters
 
 
 def maximize_over_simplex(
-    fn: Callable[[np.ndarray], float],
-    dim: int,
-    opts: BoundOptions,
-    extra_starts: Sequence[np.ndarray] = (),
+    fn: Objective, dim: int, opts: BoundOptions
 ) -> tuple[np.ndarray, float, float, tuple]:
-    """Multi-start ascent plus grid sweep; returns (p, value, grid_best, trace)."""
-    denom = opts.p_grid_denominator if dim <= 3 else opts.coarse_grid_denominator
-    grid_best = -math.inf
-    grid_arg = None
-    for p in simplex_grid(dim, denom):
-        val = fn(p)
-        if val > grid_best + 1e-15:
-            grid_best = val
-            grid_arg = p
+    """Multi-start ascent plus grid sweep; returns (p, value, grid_best, trace).
 
-    starts = list(extra_starts) + _default_starts(dim, opts.starts, opts.seed)
-    if grid_arg is not None:
+    ``fn`` maps an (N, dim) array of input laws to their N values.
+    """
+    denom = opts.p_grid_denominator if dim <= 3 else opts.coarse_grid_denominator
+    grid = np.array(list(simplex_grid(dim, denom))).reshape(-1, dim)
+    starts = _default_starts(dim, opts.starts, opts.seed)
+    grid_best, grid_arg = -math.inf, None
+    if len(grid):
+        grid_vals = fn(grid)
+        k = int(np.argmax(grid_vals))
+        grid_best, grid_arg = float(grid_vals[k]), grid[k]
         starts.insert(0, grid_arg)
 
-    best_p, best_val = None, -math.inf
-    trace = []
-    for idx, start in enumerate(starts):
-        p, val, iters = _ascend_on_simplex(fn, np.asarray(start, dtype=float), opts)
-        trace.append({"stage": "ascent", "start": idx, "value": val, "iters": iters})
-        if val > best_val + 1e-15:
-            best_val = val
-            best_p = p
+    ps, vals, iters = _ascend(fn, np.array(starts), [slice(0, dim)], opts.ascent_iters, opts)
+    trace = [
+        {"stage": "ascent", "start": idx, "value": float(val), "iters": int(count)}
+        for idx, (val, count) in enumerate(zip(vals, iters))
+    ]
     trace.append({"stage": "grid", "denominator": denom, "value": grid_best})
-    if grid_best > best_val:
-        best_val = grid_best
-        best_p = grid_arg
-    return best_p, best_val, grid_best, tuple(trace)
+    k = int(np.argmax(vals))
+    if grid_best > vals[k]:
+        return grid_arg, grid_best, grid_best, tuple(trace)
+    return ps[k], float(vals[k]), grid_best, tuple(trace)
 
 
-# ---------------------------------------------------------------------------
-# maximization over a product of simplices (auxiliary channel pairs)
-# ---------------------------------------------------------------------------
+def _max_aux_gap(
+    y_stack: np.ndarray,
+    z_stack: np.ndarray,
+    input_count: int,
+    u_size: int,
+    opts: BoundOptions,
+) -> tuple[float, AuxiliaryChannelPair, float]:
+    """max over (p_u, X|U) of [min_y I(U;Y) - max_z I(U;Z)].
 
-def _ascend_blocks(fn, blocks: list[np.ndarray], opts: BoundOptions, iters_cap: int):
-    """Block-coordinate vertex-direction ascent over a product of simplices."""
-    value = fn(blocks)
-    h = opts.fd_step
-    for _ in range(iters_cap):
-        best = (None, None, -math.inf)  # (block index, coord, derivative)
-        for bi, block in enumerate(blocks):
-            for i in range(len(block)):
-                direction = -block.copy()
-                direction[i] += 1.0
-                if np.max(np.abs(direction)) < 1e-12:
-                    continue
-                trial = [b.copy() for b in blocks]
-                trial[bi] = block + h * direction
-                fwd = fn(trial)
-                deriv = (fwd - value) / h
-                if deriv > best[2]:
-                    best = (bi, i, deriv)
-        if best[0] is None or not best[2] > 1e-8:
+    ``y_stack`` (Q, A, B) and ``z_stack`` (R, A, C) hold the candidate
+    channels the inner minimum and maximum run over (a single channel each in
+    the single-letter case).  Returns (value, pair, plain-input-route value).
+    """
+    if u_size < input_count:
+        raise ValueError("u_size must allow the deterministic U = X embedding")
+
+    def gap(pu: np.ndarray, y_rows: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
+        pu = pu[:, None, :]
+        return mi_batch(pu, y_rows).min(axis=1) - mi_batch(pu, z_rows).max(axis=1)
+
+    # route 1: deterministic identity embedding, ascent over the input law only
+    p_best, p_val, p_grid, _ = maximize_over_simplex(
+        lambda px: gap(px, y_stack, z_stack), input_count, opts
+    )
+    route1 = max(p_val, p_grid)
+
+    # route 2: ascent over p_u and the rows of X|U, flattened into one vector
+    def pair_gap(points: np.ndarray) -> np.ndarray:
+        x_rows = points[:, None, u_size:].reshape(len(points), 1, u_size, input_count)
+        return gap(points[:, :u_size], x_rows @ y_stack, x_rows @ z_stack)
+
+    blocks = [slice(0, u_size)] + [
+        slice(u_size + u * input_count, u_size + (u + 1) * input_count) for u in range(u_size)
+    ]
+    embed_rows = np.eye(input_count)[np.arange(u_size) % input_count]
+    embed_pu = np.zeros(u_size)
+    embed_pu[:input_count] = p_best
+    starts = [
+        np.concatenate([embed_pu, embed_rows.ravel()]),
+        np.concatenate(
+            [np.full(u_size, 1.0 / u_size), np.full(embed_rows.size, 1.0 / input_count)]
+        ),
+    ]
+    rng = np.random.Generator(np.random.Philox(key=opts.seed + 1))
+    while len(starts) < max(2, opts.aux_starts):
+        pu = rng.dirichlet(np.ones(u_size))
+        rows = [rng.dirichlet(np.ones(input_count)) for _ in range(u_size)]
+        starts.append(np.concatenate([pu] + rows))
+    points, vals, _ = _ascend(pair_gap, np.array(starts), blocks, opts.aux_iters, opts)
+    k = int(np.argmax(vals))
+
+    if route1 >= vals[k]:
+        pair = AuxiliaryChannelPair(u_size, Distribution(embed_pu), Channel(embed_rows))
+        return route1, pair, route1
+    pair = AuxiliaryChannelPair(
+        u_size,
+        Distribution(points[k, :u_size]),
+        Channel(points[k, u_size:].reshape(u_size, input_count)),
+    )
+    return float(vals[k]), pair, route1
+
+
+def _scan_min_over_q(
+    evaluate: Objective, s_size: int, opts: BoundOptions
+) -> tuple[float, np.ndarray, tuple]:
+    """min over the state simplex by grid scan plus local zoom refinement.
+
+    ``evaluate`` maps an (N, S) array of state laws to their N values.
+    """
+    if s_size == 1:
+        q = np.ones(1)
+        return float(evaluate(q[None])[0]), q, ({"stage": "outer-q", "points": 1},)
+    if s_size == 2:
+        lo, hi, count = 0.0, 1.0, opts.outer_q_points
+        best_t, best_v = 0.0, math.inf
+        for _ in range(opts.refine_rounds + 1):
+            ts = np.linspace(lo, hi, count)
+            vals = evaluate(np.stack([1.0 - ts, ts], axis=1))
+            k = int(np.argmin(vals))
+            if vals[k] < best_v:
+                best_t, best_v = ts[k], vals[k]
+            lo, hi, count = ts[max(0, k - 1)], ts[min(count - 1, k + 1)], 9
+        trace = {"stage": "outer-q", "points": opts.outer_q_points, "refined": opts.refine_rounds}
+        return float(best_v), np.array([1.0 - best_t, best_t]), (trace,)
+
+    grid = np.array(list(simplex_grid(s_size, opts.q_grid_denominator)))
+    vals = evaluate(grid)
+    k = int(np.argmin(vals))
+    q, best_v = grid[k], float(vals[k])
+    # probes move mass `step` from state j to state i; the best improving probe is taken
+    moves = np.array([(i, j) for i in range(s_size) for j in range(s_size) if i != j])
+    step = 1.0 / opts.q_grid_denominator
+    for _ in range(opts.refine_rounds * 8):
+        amount = np.minimum(step, q[moves[:, 1]])
+        probes = np.repeat(q[None], len(moves), axis=0)
+        rows = np.arange(len(moves))
+        probes[rows, moves[:, 1]] -= amount
+        probes[rows, moves[:, 0]] += amount
+        probes = probes[amount > 0.0]
+        vals = evaluate(probes)
+        k = int(np.argmin(vals))
+        if vals[k] < best_v - 1e-12:
+            q, best_v = probes[k], float(vals[k])
+            continue
+        step /= 2.0
+        if step < 1e-4:
             break
-        bi, i, _ = best
-        direction = -blocks[bi].copy()
-        direction[i] += 1.0
-
-        def along(t: float) -> float:
-            trial = [b.copy() for b in blocks]
-            trial[bi] = blocks[bi] + t * direction
-            return fn(trial)
-
-        t, new_value = _line_max(along, opts)
-        if new_value <= value + 1e-12:
-            break
-        blocks[bi] = np.maximum(blocks[bi] + t * direction, 0.0)
-        blocks[bi] /= blocks[bi].sum()
-        value = new_value
-    return blocks, value
+    return best_v, q, ({"stage": "outer-q", "points": "grid+probe"},)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +436,15 @@ def secrecy_lower_bound(avwc: AVWC, opts: BoundOptions | None = None) -> BoundRe
     wstack = avwc.main_stack
     vstack = avwc.eaves_stack
 
-    def objective(px: np.ndarray) -> float:
+    def objective(px: np.ndarray) -> np.ndarray:
         wmin, _ = min_mi_over_mixtures(px, wstack, opts)
-        vmax = max(mi_from_arrays(px, rows) for rows in vstack)
-        return wmin - vmax
+        return wmin - mi_batch(px[:, None, :], vstack).max(axis=1)
 
     best_p, _, grid_best, trace = maximize_over_simplex(objective, avwc.input_size, opts)
     wmin, qmin = min_mi_over_mixtures(best_p, wstack, opts)
-    vvals = [mi_from_arrays(best_p, rows) for rows in vstack]
+    vvals = mi_batch(best_p, vstack)
     s_star = int(np.argmax(vvals))
-    value = wmin - vvals[s_star]
+    value = wmin - float(vvals[s_star])
     gap = max(0.0, grid_best - value)
     return BoundResult(
         value=value,
@@ -362,9 +468,8 @@ def avc_capacity(
     opts = opts or BoundOptions()
     stack = np.stack([ch.rows for ch in main])
 
-    def objective(px: np.ndarray) -> float:
-        val, _ = min_mi_over_mixtures(px, stack, opts)
-        return val
+    def objective(px: np.ndarray) -> np.ndarray:
+        return min_mi_over_mixtures(px, stack, opts)[0]
 
     best_p, _, grid_best, trace = maximize_over_simplex(objective, stack.shape[1], opts)
     value, qmin = min_mi_over_mixtures(best_p, stack, opts)
@@ -381,132 +486,6 @@ def avc_capacity(
     )
 
 
-def _max_aux_gap(
-    y_rows_list: Sequence[np.ndarray],
-    z_rows_list: Sequence[np.ndarray],
-    input_count: int,
-    u_size: int,
-    opts: BoundOptions,
-    y_reduce=min,
-    z_reduce=max,
-) -> tuple[float, AuxiliaryChannelPair, float]:
-    """max over (p_u, X|U) of [reduce_y I(U;Y) - reduce_z I(U;Z)].
-
-    ``y_rows_list``/``z_rows_list`` hold the candidate channels the inner
-    reductions run over (a single channel each in the single-letter case).
-    Returns (value, pair, plain-input-route value).
-    """
-    if u_size < input_count:
-        raise ValueError("u_size must allow the deterministic U = X embedding")
-
-    def gap_for_input(px: np.ndarray) -> float:
-        y = y_reduce(mi_from_arrays(px, rows) for rows in y_rows_list)
-        z = z_reduce(mi_from_arrays(px, rows) for rows in z_rows_list)
-        return y - z
-
-    # route 1: deterministic identity embedding, ascent over the input law only
-    p_best, p_val, p_grid, _ = maximize_over_simplex(gap_for_input, input_count, opts)
-    route1 = max(p_val, p_grid)
-
-    def blocks_obj(blocks: list[np.ndarray]) -> float:
-        pu = blocks[0]
-        x_rows = np.stack(blocks[1:])
-        y = y_reduce(mi_from_arrays(pu, x_rows @ rows) for rows in y_rows_list)
-        z = z_reduce(mi_from_arrays(pu, x_rows @ rows) for rows in z_rows_list)
-        return y - z
-
-    starts: list[list[np.ndarray]] = []
-    embed_rows = [np.eye(input_count)[u % input_count] for u in range(u_size)]
-    embed_pu = np.zeros(u_size)
-    embed_pu[:input_count] = p_best[: min(input_count, u_size)]
-    if embed_pu.sum() <= 0:
-        embed_pu[:] = 1.0
-    embed_pu /= embed_pu.sum()
-    starts.append([embed_pu] + [r.copy() for r in embed_rows])
-    starts.append([np.full(u_size, 1.0 / u_size)] + [np.full(input_count, 1.0 / input_count) for _ in range(u_size)])
-    rng = np.random.Generator(np.random.Philox(key=opts.seed + 1))
-    while len(starts) < max(2, opts.aux_starts):
-        starts.append(
-            [rng.dirichlet(np.ones(u_size))] + [rng.dirichlet(np.ones(input_count)) for _ in range(u_size)]
-        )
-
-    best_val = -math.inf
-    best_blocks = None
-    for blocks in starts:
-        blocks, val = _ascend_blocks(blocks_obj, [b.copy() for b in blocks], opts, opts.aux_iters)
-        if val > best_val + 1e-15:
-            best_val = val
-            best_blocks = blocks
-
-    if route1 >= best_val:
-        pu = np.zeros(u_size)
-        pu[:input_count] = p_best
-        rows = np.stack([np.eye(input_count)[u % input_count] for u in range(u_size)])
-        pair = AuxiliaryChannelPair(u_size, Distribution(pu), Channel(rows))
-        return route1, pair, route1
-    pair = AuxiliaryChannelPair(
-        u_size, Distribution(best_blocks[0]), Channel(np.stack(best_blocks[1:]))
-    )
-    return best_val, pair, route1
-
-
-def _scan_min_over_q(
-    evaluate: Callable[[np.ndarray], float], s_size: int, opts: BoundOptions
-) -> tuple[float, np.ndarray, tuple]:
-    """min over the state simplex by grid scan plus local zoom refinement."""
-    trace = []
-    if s_size == 1:
-        q = np.ones(1)
-        return evaluate(q), q, ({"stage": "outer-q", "points": 1},)
-    if s_size == 2:
-        points = np.linspace(0.0, 1.0, opts.outer_q_points)
-        vals = [evaluate(np.array([1.0 - t, t])) for t in points]
-        k = int(np.argmin(vals))
-        lo = points[max(0, k - 1)]
-        hi = points[min(len(points) - 1, k + 1)]
-        best_t, best_v = points[k], vals[k]
-        for _ in range(opts.refine_rounds):
-            points = np.linspace(lo, hi, 9)
-            vals = [evaluate(np.array([1.0 - t, t])) for t in points]
-            k = int(np.argmin(vals))
-            if vals[k] < best_v:
-                best_v, best_t = vals[k], points[k]
-            lo = points[max(0, k - 1)]
-            hi = points[min(len(points) - 1, k + 1)]
-        trace.append({"stage": "outer-q", "points": opts.outer_q_points, "refined": opts.refine_rounds})
-        return best_v, np.array([1.0 - best_t, best_t]), tuple(trace)
-
-    best_q, best_v = None, math.inf
-    for q in simplex_grid(s_size, opts.q_grid_denominator):
-        val = evaluate(q)
-        if val < best_v - 1e-15:
-            best_v, best_q = val, q
-    step = 1.0 / opts.q_grid_denominator
-    q = best_q.copy()
-    for _ in range(opts.refine_rounds * 8):
-        improved = False
-        for i in range(s_size):
-            for j in range(s_size):
-                if i == j:
-                    continue
-                cand = q.copy()
-                move = min(step, cand[j])
-                if move <= 0:
-                    continue
-                cand[j] -= move
-                cand[i] += move
-                val = evaluate(cand)
-                if val < best_v - 1e-12:
-                    best_v, q = val, cand
-                    improved = True
-        if not improved:
-            step /= 2.0
-            if step < 1e-4:
-                break
-    trace.append({"stage": "outer-q", "points": "grid+probe"})
-    return best_v, q, tuple(trace)
-
-
 def secrecy_upper_bound_single_letter(
     avwc: AVWC, u_size: int | None = None, opts: BoundOptions | None = None
 ) -> BoundResult:
@@ -520,16 +499,15 @@ def secrecy_upper_bound_single_letter(
     wstack = avwc.main_stack
     vstack = avwc.eaves_stack
 
-    def inner(q: np.ndarray) -> float:
+    def at(q: np.ndarray) -> tuple[float, AuxiliaryChannelPair, float]:
         wq = np.tensordot(q, wstack, axes=1)
         vq = np.tensordot(q, vstack, axes=1)
-        val, _, _ = _max_aux_gap([wq], [vq], a_size, u_size, opts)
-        return val
+        return _max_aux_gap(wq[None], vq[None], a_size, u_size, opts)
 
-    value, q_star, qtrace = _scan_min_over_q(inner, avwc.state_count, opts)
-    wq = np.tensordot(q_star, wstack, axes=1)
-    vq = np.tensordot(q_star, vstack, axes=1)
-    value, pair, route1 = _max_aux_gap([wq], [vq], a_size, u_size, opts)
+    value, q_star, qtrace = _scan_min_over_q(
+        lambda qs: np.array([at(q)[0] for q in qs]), avwc.state_count, opts
+    )
+    value, pair, route1 = at(q_star)
     return BoundResult(
         value=value,
         argmax_p=pair.induced_input(),
@@ -554,7 +532,10 @@ def multiletter_bound(
     [min_q I(U;Y^n_q) - max_q I(U;Z^n_q)] where Y^n_q, Z^n_q are the n-fold
     products of the mixture channels with one shared q per letter; with
     ``per_letter=True`` the products range over independently chosen per-letter
-    weights drawn from the same grid.
+    weights drawn from the same grid.  Both inner extremes run over a coarse
+    grid of q: the minimum over a sub-grid is never below the true minimum
+    and the maximum never above the true maximum, so the reported value never
+    understates the objective's maximum over U.
     """
     opts = opts or BoundOptions()
     if n < 1:
@@ -581,35 +562,27 @@ def multiletter_bound(
     else:
         q_points = list(simplex_grid(s_size, max(2, opts.q_grid_denominator // 4)))
 
-    def products(points: Sequence[np.ndarray], stack: np.ndarray) -> list[np.ndarray]:
+    def products(points: Sequence[np.ndarray], stack: np.ndarray) -> np.ndarray:
         singles = [np.tensordot(q, stack, axes=1) for q in points]
         if not per_letter:
-            return [product_rows_matrix([rows] * n) for rows in singles]
-        combos = []
-        for combo in itertools.product(singles, repeat=n):
-            combos.append(product_rows_matrix(list(combo)))
-        return combos
+            return np.stack([product_rows_matrix([rows] * n) for rows in singles])
+        combos = itertools.product(singles, repeat=n)
+        return np.stack([product_rows_matrix(list(combo)) for combo in combos])
 
-    y_products = products(q_points, wstack)
-    z_products = products(q_points, vstack)
+    value, pair, route1 = _max_aux_gap(
+        products(q_points, wstack), products(q_points, vstack), input_count, u_size, opts
+    )
 
-    value, pair, route1 = _max_aux_gap(y_products, z_products, input_count, u_size, opts)
-
-    # refine the shared-q extremes at the final auxiliary pair
+    # the shared q that minimizes the legitimate receiver's term at the final pair
     q_min = None
     if not per_letter and s_size > 1:
         rows_ux = pair.x_given_u.rows
         pu = pair.p_u.probs
 
-        def y_at(q: np.ndarray) -> float:
-            return mi_from_arrays(pu, rows_ux @ product_rows_matrix([np.tensordot(q, wstack, axes=1)] * n))
+        def y_at(qs: np.ndarray) -> np.ndarray:
+            return mi_batch(pu, rows_ux @ products(list(qs), wstack))
 
-        def z_at(q: np.ndarray) -> float:
-            return mi_from_arrays(pu, rows_ux @ product_rows_matrix([np.tensordot(q, vstack, axes=1)] * n))
-
-        y_val, q_min, _ = _scan_min_over_q(y_at, s_size, opts)
-        z_val, _, _ = _scan_min_over_q(lambda q: -z_at(q), s_size, opts)
-        value = min(value, y_val + z_val)  # z_val is the negated maximum
+        _, q_min, _ = _scan_min_over_q(y_at, s_size, opts)
     elif s_size == 1:
         q_min = np.ones(1)
 

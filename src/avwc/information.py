@@ -16,19 +16,32 @@ from .channels import Channel, Distribution
 def xlog2x(values: np.ndarray) -> np.ndarray:
     """Elementwise x*log2(x) with the 0*log 0 = 0 convention."""
     values = np.asarray(values, dtype=float)
-    safe = np.where(values > 0.0, values, 1.0)
-    return np.where(values > 0.0, values * np.log2(safe), 0.0)
+    mask = values > 0.0
+    logs = np.log2(values, out=np.zeros_like(values), where=mask)
+    return np.multiply(values, logs, out=logs, where=mask)
 
 
 def entropy_from_array(probs: np.ndarray) -> float:
     return float(-np.sum(xlog2x(probs)))
 
 
-def mi_from_arrays(px: np.ndarray, rows: np.ndarray) -> float:
-    """I(p, W) = H(pW) - sum_x p(x) H(W(.|x)); tiny negative roundoff clamps to 0."""
+def mi_batch(px: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """I(p, W) = H(pW) - sum_x p(x) H(W(.|x)) over a batch of input laws and channels.
+
+    ``px`` has shape (..., A) and ``rows`` shape (..., A, B); their leading
+    axes broadcast against each other and give the shape of the result.
+    Tiny negative roundoff clamps to 0.
+    """
+    px = np.asarray(px, dtype=float)[..., None, :]
     out = px @ rows
-    value = -np.sum(xlog2x(out)) + px @ np.sum(xlog2x(rows), axis=1)
-    return float(value) if value > 0.0 else 0.0
+    cond = px @ np.sum(xlog2x(rows), axis=-1)[..., None]
+    value = cond[..., 0, 0] - np.sum(xlog2x(out), axis=(-2, -1))
+    return np.where(value > 0.0, value, 0.0)
+
+
+def mi_from_arrays(px: np.ndarray, rows: np.ndarray) -> float:
+    """I(p, W) for one input law ``px`` (A,) and one channel ``rows`` (A, B)."""
+    return float(mi_batch(px, rows))
 
 
 def entropy(p: Distribution) -> float:

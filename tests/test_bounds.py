@@ -15,8 +15,8 @@ from avwc import (
     secrecy_lower_bound,
     secrecy_upper_bound_single_letter,
 )
-from avwc.bounds import min_mi_over_mixtures, project_to_simplex, simplex_grid
-from avwc.information import mi_from_arrays
+from avwc.bounds import _line_max, min_mi_over_mixtures, project_to_simplex, simplex_grid
+from avwc.information import mi_batch, mi_from_arrays
 
 
 def binary_entropy(x):
@@ -24,6 +24,7 @@ def binary_entropy(x):
 
 
 FAST = BoundOptions(starts=8, aux_starts=2, aux_iters=30)
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _entropy_rows(v):
@@ -102,6 +103,43 @@ class TestSimplexHelpers:
         val, q = min_mi_over_mixtures(p, stack, FAST)
         scan = min(mi_from_arrays(p, np.tensordot(g, stack, axes=1)) for g in simplex_grid(3, 64))
         assert val <= scan + 1e-6
+
+
+class TestBatchedOptimizers:
+    @pytest.mark.parametrize("s_size", [2, 3])
+    def test_inner_min_batch_rows_match_dense_scan(self, s_size):
+        rng = np.random.default_rng(55 + s_size)
+        stack = np.stack([rng.dirichlet(np.ones(3), size=2) for _ in range(s_size)])
+        px = rng.dirichlet(np.ones(2), size=6)
+        px[0] = [1.0, 0.0]  # a simplex vertex, where every mixture gives 0
+        values, qs = min_mi_over_mixtures(px, stack, FAST)
+        assert values.shape == (6,) and qs.shape == (6, s_size)
+        if s_size == 2:
+            ts = np.linspace(0.0, 1.0, 2001)
+            grid, below = np.stack([1.0 - ts, ts], axis=1), 1e-6
+        else:
+            grid, below = np.array(list(simplex_grid(3, 64))), 1e-3
+        mixtures = np.tensordot(grid, stack, axes=1)
+        for p, val, q in zip(px, values, qs):
+            scan = min(mi_from_arrays(p, rows) for rows in mixtures)
+            assert scan - below <= val <= scan + 1e-9
+            assert mi_from_arrays(p, np.tensordot(q, stack, axes=1)) == pytest.approx(val, abs=1e-12)
+            assert min_mi_over_mixtures(p, stack, FAST)[0] == pytest.approx(val, abs=1e-9)
+
+    @pytest.mark.parametrize("iters", [10, 20, 30])
+    def test_line_search_lands_within_golden_bracket(self, iters):
+        # row r moves the input law from (1 - a_r, a_r) to (0, 1); I(p, BSC) peaks at (1/2, 1/2)
+        starts = np.array([[0.0], [0.1], [0.37]])
+        peaks = (0.5 - starts[:, 0]) / (1.0 - starts[:, 0])
+        bsc = Channel.bsc(0.1).rows
+
+        def along(ts):
+            p1 = starts + ts * (1.0 - starts)
+            return mi_batch(np.stack([1.0 - p1, p1], axis=-1), bsc)
+
+        t, v = _line_max(along, 3, BoundOptions(), iters)
+        assert np.all(np.abs(t - peaks) <= INV_PHI**iters)
+        assert v == pytest.approx(np.full(3, 1.0 - binary_entropy(0.1)), abs=INV_PHI**iters)
 
 
 class TestSecrecyLowerBound:
@@ -261,6 +299,23 @@ class TestMultiletter:
         per_letter = multiletter_bound(avwc, 2, u_size=5, opts=small, per_letter=True)
         # widening the minimization family can only pull the bound down
         assert per_letter.value <= shared.value + 1e-6
+
+
+def test_multiletter_not_below_lower_bound_three_states():
+    """n = 2 on three Z-like states may not understate n times an achievable rate.
+
+    The i.i.d. auxiliary U = X^2 ~ p*^2 attains n times the lower bound, so
+    the multi-letter value, which maximizes over U, must reach the lower bound.
+    """
+    main = (
+        Channel(np.array([[1.0, 0.0], [0.3596, 0.6404]])),
+        Channel(np.array([[0.6135, 0.3865], [0.0, 1.0]])),
+        Channel(np.array([[0.9669, 0.0331], [0.0331, 0.9669]])),
+    )
+    eaves = tuple(Channel.bsc(c) for c in (0.3015, 0.4255, 0.3936))
+    avwc = AVWC(main=main, eaves=eaves)
+    lower = secrecy_lower_bound(avwc)
+    assert multiletter_bound(avwc, 2).value >= lower.value - 1e-9
 
 
 def test_mixture_information_peaks_at_states():

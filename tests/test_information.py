@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avwc import (
     Channel,
@@ -12,6 +14,7 @@ from avwc import (
     kl_divergence,
     mutual_information,
 )
+from avwc.information import mi_batch, mi_from_arrays
 
 from conftest import random_channel, random_distribution
 
@@ -134,3 +137,44 @@ class TestJointMutualInformation:
             assert joint_mutual_information(joint) == pytest.approx(
                 kl_divergence(flat, product), abs=1e-12
             )
+
+
+def _simplex_rows(draw, count, size):
+    """``count`` probability vectors of length ``size``; exact zeros are common."""
+    weights = st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
+    rows = np.array([draw(weights) for _ in range(count)], dtype=float)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def mi_batches(draw):
+    """A batch of input laws with one shared channel or one channel per law."""
+    n, a, b = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    px = _simplex_rows(draw, n, a)
+    shared = draw(st.booleans())
+    rows = _simplex_rows(draw, a if shared else n * a, b)
+    return px, rows.reshape((a, b) if shared else (n, a, b))
+
+
+def _mi_loop(px, rows):
+    """sum_x sum_y p(x) W(y|x) log2(W(y|x) / (pW)(y)) over the positive terms."""
+    out = [sum(px[x] * rows[x][y] for x in range(len(px))) for y in range(len(rows[0]))]
+    return sum(
+        px[x] * rows[x][y] * math.log2(rows[x][y] / out[y])
+        for x in range(len(px))
+        for y in range(len(out))
+        if px[x] > 0.0 and rows[x][y] > 0.0
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=mi_batches())
+def test_mi_batch_rows_match_scalar_and_loop(batch):
+    px, rows = batch
+    values = mi_batch(px, rows)
+    assert values.shape == (len(px),)
+    for i, p in enumerate(px):
+        w = rows if rows.ndim == 2 else rows[i]
+        assert values[i] == pytest.approx(mi_from_arrays(p, w), abs=1e-12)
+        assert values[i] == pytest.approx(_mi_loop(p.tolist(), w.tolist()), abs=1e-12)
+        assert values[i] >= 0.0
