@@ -3,10 +3,13 @@
 A code stores a J x L array of codewords (message j is sent by drawing the
 randomization index l uniformly) and its decoder as an assignment map from
 output-word index to message index or erasure, which makes decoding sets
-disjoint by representation.  Error probabilities and leakages are computed
-by exact enumeration; information leakage is never estimated by sampling
-because sampled mutual-information estimates are biased, so oversized
-instances are refused instead.
+disjoint by representation.
+
+Every exact evaluation runs on one kernel, ``output_law`` (p(y^n | j) for all
+codewords at once): ``sequence_table`` applies it at every state sequence and
+the one-sequence functions are front-ends over it.  Leakage is never estimated
+by sampling because sampled mutual-information estimates are biased, so
+oversized instances are refused instead.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .channels import (
     Distribution,
     StateSequence,
     check_enumeration,
+    index_to_word,
     mixture_channel,
     sequence_symbols,
     word_matrix,
@@ -121,79 +125,90 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# exact per-sequence evaluation
+# exact evaluation: one output-law kernel, one state-sequence table
 # ---------------------------------------------------------------------------
 
-def _output_probs(rows_per_position: list[np.ndarray]) -> np.ndarray:
-    """Product distribution over output words (lexicographic) for fixed inputs."""
-    probs = np.ones(1)
-    for row in rows_per_position:
-        probs = np.multiply.outer(probs, row).ravel()
-    return probs
+def output_law(codewords: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """p(y^n | j), averaged over l, as a (J, |B|^n) array in lexicographic output order.
+
+    ``codewords`` is a (J, L, n) array and ``channels`` an (n, |A|, |B|)
+    stack whose entry i acts at position i.  All J*L codewords advance
+    together: position i multiplies every partial law by the row its
+    codeword selects.
+    """
+    j_count, l_count, n = codewords.shape
+    words = codewords.reshape(j_count * l_count, n)
+    law = np.ones((len(words), 1))
+    for i in range(n):
+        law = (law[:, :, None] * channels[i][words[:, i]][:, None, :]).reshape(len(words), -1)
+    return law.reshape(j_count, l_count, -1).mean(axis=1)
 
 
-def _position_rows(stack: np.ndarray, symbols: tuple[int, ...]) -> list[np.ndarray]:
-    return [stack[s] for s in symbols]
+def message_success(law: np.ndarray, decoder: np.ndarray) -> np.ndarray:
+    """p(decoder(Y^n) = j | j) for every message j, from the (J, |B|^n) output law."""
+    hits = np.flatnonzero(decoder != ERASURE)
+    return np.bincount(decoder[hits], weights=law[decoder[hits], hits], minlength=len(law))
 
 
-def error_given_position_channels(code: WiretapCode, position_rows: list[np.ndarray]) -> float:
-    """Average decoding error when position i uses the given stochastic matrix."""
-    success = 0.0
-    for j in range(code.j_count):
-        mask = code.decoder == j
-        for l in range(code.l_count):
-            rows = [position_rows[i][code.codewords[j, l, i]] for i in range(code.n)]
-            success += _output_probs(rows)[mask].sum()
-    return 1.0 - success / (code.j_count * code.l_count)
+def _error(code: WiretapCode, channels: np.ndarray) -> float:
+    """1 - (1/J) sum_j p(decoder(Y^n) = j | j)."""
+    return 1.0 - float(message_success(output_law(code.codewords, channels), code.decoder).mean())
 
 
-def conditional_output_given_position_channels(
-    code: WiretapCode, position_rows: list[np.ndarray]
+def _leakage(code: WiretapCode, channels: np.ndarray) -> float:
+    return joint_mi_from_array(output_law(code.codewords, channels) / code.j_count)
+
+
+def _sequence_channels(stack: np.ndarray, code: WiretapCode, s, state_count: int) -> np.ndarray:
+    symbols = sequence_symbols(s, state_count)
+    if len(symbols) != code.n:
+        raise ValueError("state sequence length does not match the block length")
+    return stack[list(symbols)]
+
+
+def _mixture_channels(
+    stack: np.ndarray, code: WiretapCode, q_list: Sequence[Distribution]
 ) -> np.ndarray:
-    """p(z^n | j) under the per-position channels, averaged over l."""
-    out_count = position_rows[0].shape[1] ** code.n
-    cond = np.zeros((code.j_count, out_count))
-    for j in range(code.j_count):
-        for l in range(code.l_count):
-            rows = [position_rows[i][code.codewords[j, l, i]] for i in range(code.n)]
-            cond[j] += _output_probs(rows)
-    return cond / code.l_count
+    if len(q_list) != code.n:
+        raise ValueError("need one mixture weight vector per position")
+    return np.stack([np.tensordot(q.probs, stack, axes=1) for q in q_list])
 
 
 def error_probability(code: WiretapCode, avwc: AVWC, s) -> float:
     """Exact average error probability of the code for one state sequence."""
-    symbols = sequence_symbols(s, avwc.state_count)
-    if len(symbols) != code.n:
-        raise ValueError("state sequence length does not match the block length")
-    return error_given_position_channels(code, _position_rows(avwc.main_stack, symbols))
+    return _error(code, _sequence_channels(avwc.main_stack, code, s, avwc.state_count))
 
 
 def leakage_bits(code: WiretapCode, avwc: AVWC, s) -> float:
     """Exact I(J; Z^n) in bits for one state sequence, J uniform over messages."""
-    symbols = sequence_symbols(s, avwc.state_count)
-    if len(symbols) != code.n:
-        raise ValueError("state sequence length does not match the block length")
-    cond = conditional_output_given_position_channels(
-        code, _position_rows(avwc.eaves_stack, symbols)
-    )
-    return joint_mi_from_array(cond / code.j_count)
+    return _leakage(code, _sequence_channels(avwc.eaves_stack, code, s, avwc.state_count))
 
 
 def error_under_product_mixture(code: WiretapCode, avwc: AVWC, q_list: Sequence[Distribution]) -> float:
     """Exact error when position i sees the state-averaged channel for q_list[i]."""
-    if len(q_list) != code.n:
-        raise ValueError("need one mixture weight vector per position")
-    rows = [np.tensordot(q.probs, avwc.main_stack, axes=1) for q in q_list]
-    return error_given_position_channels(code, rows)
+    return _error(code, _mixture_channels(avwc.main_stack, code, q_list))
 
 
 def leakage_under_product_mixture(code: WiretapCode, avwc: AVWC, q_list: Sequence[Distribution]) -> float:
     """Exact I(J; Z^n) when position i sees the state-averaged eavesdropper channel."""
-    if len(q_list) != code.n:
-        raise ValueError("need one mixture weight vector per position")
-    rows = [np.tensordot(q.probs, avwc.eaves_stack, axes=1) for q in q_list]
-    cond = conditional_output_given_position_channels(code, rows)
-    return joint_mi_from_array(cond / code.j_count)
+    return _leakage(code, _mixture_channels(avwc.eaves_stack, code, q_list))
+
+
+def sequence_table(
+    code: WiretapCode, avwc: AVWC, objectives: Sequence[str] = ("error", "leakage")
+) -> dict[str, np.ndarray]:
+    """Error and/or leakage of the code at every state sequence, lexicographic order.
+
+    Each requested objective maps to an (|S|^n,) array.  Working memory is
+    the output law of one sequence, never |S|^n of them.
+    """
+    sequences = word_matrix(avwc.state_count, code.n)
+    metrics = {"error": (_error, avwc.main_stack), "leakage": (_leakage, avwc.eaves_stack)}
+    table = {}
+    for name in objectives:
+        metric, stack = metrics[name]
+        table[name] = np.array([metric(code, stack[s]) for s in sequences])
+    return table
 
 
 def _sampled_error(code: WiretapCode, avwc: AVWC, symbols, samples: int, seed: int, counter: int) -> float:
@@ -244,30 +259,32 @@ def evaluate_code(
             "estimates are biased)",
         )
 
-    worst_error, worst_error_seq = -1.0, None
-    worst_leak, worst_leak_seq = -1.0, None
-    table = []
-    for counter, seq in enumerate(StateSequence.all_sequences(s_count, n)):
-        err = leak = None
-        if want_error:
-            if mode == "exhaustive":
-                err = error_probability(code, avwc, seq)
-            else:
-                err = _sampled_error(code, avwc, seq.symbols, samples, seed, counter)
-            if err > worst_error:
-                worst_error, worst_error_seq = err, seq
-        if want_leakage:
-            leak = leakage_bits(code, avwc, seq)
-            if leak > worst_leak:
-                worst_leak, worst_leak_seq = leak, seq
-        if keep_table:
-            table.append((seq, err, leak))
+    exact = {"error": want_error and mode == "exhaustive", "leakage": want_leakage}
+    table = sequence_table(code, avwc, [name for name, wanted in exact.items() if wanted])
+    sequences = list(StateSequence.all_sequences(s_count, n))
+    if want_error and mode == "sampled":
+        table["error"] = np.array(
+            [
+                _sampled_error(code, avwc, seq.symbols, samples, seed, counter)
+                for counter, seq in enumerate(sequences)
+            ]
+        )
+
+    def worst(name: str):
+        if name not in table:
+            return None, None
+        at = int(np.argmax(table[name]))  # the first maximum: lexicographically smallest
+        return float(table[name][at]), sequences[at]
+
+    worst_error, worst_error_seq = worst("error")
+    worst_leak, worst_leak_seq = worst("leakage")
+    columns = [table[name].tolist() if name in table else [None] * len(sequences) for name in exact]
     return EvalReport(
-        worst_state_error=worst_error if want_error else None,
-        worst_state_sequence=worst_error_seq if want_error else None,
-        worst_leakage_bits=worst_leak if want_leakage else None,
-        worst_leakage_sequence=worst_leak_seq if want_leakage else None,
-        per_sequence=tuple(table) if keep_table else None,
+        worst_state_error=worst_error,
+        worst_state_sequence=worst_error_seq,
+        worst_leakage_bits=worst_leak,
+        worst_leakage_sequence=worst_leak_seq,
+        per_sequence=tuple(zip(sequences, *columns)) if keep_table else None,
     )
 
 
@@ -286,12 +303,9 @@ def worst_state_search(
     metric: Callable = error_probability if objective == "error" else leakage_bits
     n, s_count = code.n, avwc.state_count
     if mode == "exhaustive":
-        best_seq, best_val = None, -1.0
-        for seq in StateSequence.all_sequences(s_count, n):
-            val = metric(code, avwc, seq)
-            if val > best_val:
-                best_seq, best_val = seq, val
-        return best_seq, best_val
+        values = sequence_table(code, avwc, (objective,))[objective]
+        best = int(np.argmax(values))
+        return StateSequence(index_to_word(best, s_count, n), s_count), float(values[best])
 
     best_symbols, best_val = None, -1.0
     for start_state in range(s_count):

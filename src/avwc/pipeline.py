@@ -1,18 +1,21 @@
 """Permutation robustification, random-code reduction and elimination of randomness.
 
 A permutation member applies the inverse positional shuffle to every codeword
-and decoding set, so its error at a state sequence equals the base code's
-error at the shuffled sequence.  Averages over the whole permutation group
-therefore depend on a sequence only through its type: they are means of the
-base code over type classes, which cost O(|S|^n) and never materialize the
-n! members.  Only ``PermutationFamily`` and the explicit reference average in
-``permutation_mean_error`` walk the group itself.
+and decoding set, so its error and leakage at a state sequence equal the base
+code's at the shuffled sequence.  Robustification and reduction therefore
+read the base code's state-sequence table (``coding.sequence_table``): a
+member's table is that table re-indexed by its permutation, and averages over
+the whole group are means over type classes, which cost O(|S|^n).  ``PermutationFamily`` unranks
+a member's permutation from its index and never lists the n! of them; only
+the explicit reference average in ``permutation_mean_error`` walks the group.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,9 +35,10 @@ from .coding import (
     RandomCode,
     ReductionReport,
     WiretapCode,
-    conditional_output_given_position_channels,
     error_probability,
-    leakage_bits,
+    message_success,
+    output_law,
+    sequence_table,
 )
 from .errors import PrefixSearchFailureError, ReductionFailureError
 from .information import joint_mi_from_array
@@ -68,26 +72,40 @@ def _apply_inverse_permutation(code: WiretapCode, sigma: Sequence[int]) -> Wiret
 
 
 class PermutationFamily(Sequence[WiretapCode]):
-    """Lazy view of the permutation orbit of a base code."""
+    """Lazy view of the permutation orbit of a base code.
+
+    Member i is built from the i-th permutation in ``itertools.permutations``
+    order, unranked from i in the factorial number system, so the n!
+    permutations are never listed.
+    """
 
     def __init__(self, base: WiretapCode):
         self._base = base
-        self._perms = list(itertools.permutations(range(base.n)))
 
     @property
     def base(self) -> WiretapCode:
         return self._base
 
     def permutation(self, index: int) -> tuple[int, ...]:
-        return self._perms[index]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("permutation index out of range")
+        pool = list(range(self._base.n))
+        sigma = []
+        for place in range(self._base.n - 1, -1, -1):
+            digit, index = divmod(index, math.factorial(place))
+            sigma.append(pool.pop(digit))
+        return tuple(sigma)
 
     def __len__(self) -> int:
-        return len(self._perms)
+        return math.factorial(self._base.n)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        return _apply_inverse_permutation(self._base, self._perms[index])
+        return _apply_inverse_permutation(self._base, self.permutation(index))
 
 
 def robustify(code: WiretapCode, avwc: AVWC) -> RandomCode:
@@ -160,8 +178,8 @@ def verify_robustification(
     """
     n, s_count = code.n, avwc.state_count
     check_enumeration(s_count**n, "robustification verification")
-    sequences = list(itertools.product(range(s_count), repeat=n))
-    success = np.array([1.0 - error_probability(code, avwc, s) for s in sequences])
+    sequences = word_matrix(s_count, n)
+    success = 1.0 - sequence_table(code, avwc, ("error",))["error"]
 
     if q_set is None:
         q_set = [Distribution(p) for p in simplex_grid(s_count, n)]
@@ -172,7 +190,7 @@ def verify_robustification(
     coefficient = 3.0 * (n + 1) ** s_count
     bound = 1.0 - coefficient * gamma
     # the group average at s is the mean success over the type class of s
-    counts = (np.array(sequences)[:, :, None] == np.arange(s_count)).sum(axis=1)
+    counts = (sequences[:, :, None] == np.arange(s_count)).sum(axis=1)
     _, type_index = np.unique(counts, axis=0, return_inverse=True)
     type_index = type_index.reshape(-1)  # numpy 2.0.0 returns it as a column
     averaged = np.bincount(type_index, weights=success) / np.bincount(type_index)
@@ -181,7 +199,7 @@ def verify_robustification(
         min_slack=float(np.min(averaged - bound)),
         bound_coefficient=coefficient,
         per_sequence=tuple(
-            (s, float(averaged[t]), bound) for s, t in zip(sequences, type_index)
+            (tuple(s), float(averaged[t]), bound) for s, t in zip(sequences.tolist(), type_index)
         ),
     )
 
@@ -196,6 +214,26 @@ def reduction_count(n: int, input_size: int, state_count: int, epsilon: float) -
         raise ValueError("epsilon must be positive")
     bound = 2.0 * n * math.log2(input_size) * (1.0 + n * math.log2(state_count)) / epsilon
     return int(math.floor(bound)) + 1
+
+
+def _member_tables(members: Sequence[WiretapCode], avwc: AVWC):
+    """index -> the member's error and leakage tables, each member evaluated at most once.
+
+    A permutation member evaluates nothing: its value at s is the base code's
+    value at the shuffled sequence (s[sigma[0]], ..., s[sigma[n-1]]).
+    """
+    if not isinstance(members, PermutationFamily):
+        return functools.cache(lambda index: sequence_table(members[index], avwc))
+    base = sequence_table(members.base, avwc)
+    n, s_count = members.base.n, avwc.state_count
+    sequences = word_matrix(s_count, n)
+    powers = s_count ** np.arange(n - 1, -1, -1)
+
+    def table(index: int) -> dict[str, np.ndarray]:
+        shuffled = sequences[:, list(members.permutation(index))] @ powers
+        return {name: values[shuffled] for name, values in base.items()}
+
+    return table
 
 
 def reduce_random_code(
@@ -237,19 +275,11 @@ def reduce_random_code(
         raise ValueError(f"unknown k_count preset {k_count!r}")
     if k < 1:
         raise ValueError("k_count must be at least 1")
+    if retry_cap < 1:
+        raise ValueError("retry_cap must be at least 1")
 
     check_enumeration(avwc.state_count**sample_n, "reduction verification")
-    sequences = list(itertools.product(range(avwc.state_count), repeat=sample_n))
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def member_metrics(index: int) -> tuple[np.ndarray, np.ndarray]:
-        if index not in cache:
-            member = members[index]
-            errs = np.array([error_probability(member, avwc, s) for s in sequences])
-            leaks = np.array([leakage_bits(member, avwc, s) for s in sequences])
-            cache[index] = (errs, leaks)
-        return cache[index]
-
+    member_table = _member_tables(members, avwc)
     cdf = np.cumsum(rc.mu.probs)
     cdf[-1] = 1.0
     best = None
@@ -259,14 +289,9 @@ def reduce_random_code(
         else:
             rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, attempt, 0]))
             picks = [int(np.searchsorted(cdf, rng.random(), side="right")) for _ in range(k)]
-        mean_err = np.zeros(len(sequences))
-        mean_leak = np.zeros(len(sequences))
-        for index in picks:
-            errs, leaks = member_metrics(index)
-            mean_err += errs
-            mean_leak += leaks
-        mean_err /= k
-        mean_leak /= k
+        tables = [member_table(index) for index in picks]
+        mean_err = np.mean([table["error"] for table in tables], axis=0)
+        mean_leak = np.mean([table["leakage"] for table in tables], axis=0)
         worst_err = float(mean_err.max())
         worst_leak = float(mean_leak.max())
         if best is None or max(worst_err, worst_leak) < max(best[0], best[1]):
@@ -442,120 +467,79 @@ def eliminate_randomness(
     if prefix.k_count != k or prefix.length != prefix_len:
         raise ValueError("prefix code shape does not match the member count")
 
-    n = base.n
-    j_count = base.j_count
-    l_count = base.l_count
+    n, j_count, l_count = base.n, base.j_count, base.l_count
     b = avwc.main_output_size
-    c = avwc.eaves_output_size
     total_len = prefix_len + n
     check_enumeration(avwc.state_count**total_len, "elimination verification")
     check_enumeration(b**total_len * k * j_count * l_count, "combined code evaluation")
 
-    # combined codewords and decoder
-    codewords = np.zeros((k * j_count, l_count, total_len), dtype=int)
-    for i in range(k):
-        for j in range(j_count):
-            for l in range(l_count):
-                codewords[i * j_count + j, l, :prefix_len] = prefix.codewords[i]
-                codewords[i * j_count + j, l, prefix_len:] = members[i].codewords[j, l]
-    decoder = np.full(b**total_len, ERASURE, dtype=int)
-    payload_block = b**n
-    for u_idx in range(b**prefix_len):
-        i = int(prefix.decoder[u_idx])
-        member_decoder = members[i].decoder
-        block = np.where(
-            member_decoder == ERASURE, ERASURE, i * j_count + member_decoder
-        )
-        decoder[u_idx * payload_block : (u_idx + 1) * payload_block] = block
+    # combined codewords (member i's message j is message i*J + j) and decoder
+    member_words = np.stack([m.codewords for m in members])  # (K, J, L, n)
+    prefix_words = np.broadcast_to(
+        prefix.codewords[:, None, None, :], (k, j_count, l_count, prefix_len)
+    )
+    codewords = np.concatenate([prefix_words, member_words], axis=3)
+    blocks = np.stack([m.decoder for m in members])[prefix.decoder]  # (b^prefix_len, b^n)
+    decoder = np.where(blocks == ERASURE, ERASURE, prefix.decoder[:, None] * j_count + blocks)
     combined = WiretapCode(
         n=total_len,
         input_size=avwc.input_size,
         output_size=b,
-        codewords=codewords,
-        decoder=decoder,
+        codewords=codewords.reshape(k * j_count, l_count, total_len),
+        decoder=decoder.ravel(),
     )
 
-    # per-prefix-sequence success of each prefix message
-    prefix_outputs = word_matrix(b, prefix_len)
-    prefix_success: dict[tuple[int, ...], np.ndarray] = {}
-    eaves_prefix_rows: dict[tuple[int, ...], np.ndarray] = {}
-    eaves_out = word_matrix(c, prefix_len)
-    for s_pre in itertools.product(range(avwc.state_count), repeat=prefix_len):
-        rows_main = [avwc.main_stack[s] for s in s_pre]
-        rows_eaves = [avwc.eaves_stack[s] for s in s_pre]
-        succ = np.zeros(k)
-        arows = np.zeros((k, c**prefix_len))
-        for i in range(k):
-            probs = np.ones(1)
-            for pos, row in enumerate(rows_main):
-                probs = np.multiply.outer(probs, row[prefix.codewords[i, pos]]).ravel()
-            succ[i] = probs[prefix.decoder == i].sum()
-            eprobs = np.ones(1)
-            for pos, row in enumerate(rows_eaves):
-                eprobs = np.multiply.outer(eprobs, row[prefix.codewords[i, pos]]).ravel()
-            arows[i] = eprobs
-        prefix_success[s_pre] = succ
-        eaves_prefix_rows[s_pre] = arows
+    # the prefix block is a K-message, L = 1 code whose message is the member index
+    prefix_states = word_matrix(avwc.state_count, prefix_len)
+    prefix_as_code = prefix.codewords[:, None, :]
+    prefix_success = np.array(
+        [
+            message_success(output_law(prefix_as_code, avwc.main_stack[s]), prefix.decoder)
+            for s in prefix_states
+        ]
+    )  # (|S|^prefix_len, K)
+    eaves_prefix_rows = [output_law(prefix_as_code, avwc.eaves_stack[s]) for s in prefix_states]
 
-    # per-payload-sequence member metrics
-    member_err: dict[tuple[int, ...], np.ndarray] = {}
-    member_succ: dict[tuple[int, ...], np.ndarray] = {}
-    member_leak: dict[tuple[int, ...], np.ndarray] = {}
-    member_cond: dict[tuple[int, ...], np.ndarray] = {}
-    for s_pay in itertools.product(range(avwc.state_count), repeat=n):
-        errs = np.array([error_probability(m, avwc, s_pay) for m in members])
-        member_err[s_pay] = errs
-        member_succ[s_pay] = 1.0 - errs
-        member_cond[s_pay] = np.stack(
-            [
-                conditional_output_given_position_channels(
-                    m, [avwc.eaves_stack[s] for s in s_pay]
-                )
-                for m in members
-            ]
-        )
-        member_leak[s_pay] = np.array(
-            [joint_mi_from_array(cond / j_count) for cond in member_cond[s_pay]]
-        )
+    # payload: member errors from their tables, eavesdropper laws from the kernel
+    payload_states = word_matrix(avwc.state_count, n)
+    member_err = np.stack([sequence_table(m, avwc, ("error",))["error"] for m in members], axis=1)
+    all_members = member_words.reshape(k * j_count, l_count, n)  # one K*J-message code
+    member_cond = [
+        output_law(all_members, avwc.eaves_stack[s]).reshape(k, j_count, -1) for s in payload_states
+    ]  # each (K, J, c^n): member i's p(z^n | j)
+    member_leak = np.array(
+        [[joint_mi_from_array(c / j_count) for c in cond] for cond in member_cond]
+    )  # (|S|^n, K)
 
-    worst_total, worst_total_seq = -1.0, None
+    # error: every (prefix, payload) pair at once; row-major order is lexicographic
+    total = 1.0 - (prefix_success[:, None, :] * (1.0 - member_err)[None, :, :]).mean(axis=2)
+    bound = (1.0 - prefix_success).mean(axis=1)[:, None] + member_err.mean(axis=1)[None, :]
+    worst_pre, worst_pay = np.unravel_index(int(np.argmax(total)), total.shape)
+
+    # payload leakage: member identity acts as encoder randomness
     worst_leak, worst_leak_seq = -1.0, None
-    err_margin = math.inf
     leak_margin = math.inf
-    worst_prefix_error = max(
-        float(np.mean(1.0 - succ)) for succ in prefix_success.values()
-    )
-    worst_member_error = max(float(e.mean()) for e in member_err.values())
-    worst_member_leak = max(float(v.mean()) for v in member_leak.values())
-    for s_pre, succ_pre in prefix_success.items():
-        pre_err = float(np.mean(1.0 - succ_pre))
-        arows = eaves_prefix_rows[s_pre]
-        for s_pay in member_err:
-            total = 1.0 - float(np.mean(succ_pre * member_succ[s_pay]))
-            seq = s_pre + s_pay
-            if total > worst_total:
-                worst_total, worst_total_seq = total, seq
-            bound = pre_err + float(member_err[s_pay].mean())
-            err_margin = min(err_margin, bound - total)
-
-            # payload leakage: member identity acts as encoder randomness
-            joint = np.einsum("iu,ijz->juz", arows, member_cond[s_pay]) / (k * j_count)
+    for s_pre, arows in zip(prefix_states.tolist(), eaves_prefix_rows):
+        for s_pay, cond, leaks in zip(payload_states.tolist(), member_cond, member_leak):
+            joint = np.einsum("iu,ijz->juz", arows, cond) / (k * j_count)
             leak = joint_mi_from_array(joint.reshape(j_count, -1))
             if leak > worst_leak:
-                worst_leak, worst_leak_seq = leak, seq
-            leak_margin = min(leak_margin, float(member_leak[s_pay].mean()) - leak)
+                worst_leak, worst_leak_seq = leak, tuple(s_pre + s_pay)
+            leak_margin = min(leak_margin, float(leaks.mean()) - leak)
 
     report = EliminationReport(
         prefix_len=prefix_len,
         k_count=k,
-        worst_total_error=worst_total,
-        worst_error_sequence=worst_total_seq,
-        worst_prefix_error=worst_prefix_error,
-        worst_mean_member_error=worst_member_error,
-        error_decomposition_margin=err_margin,
+        worst_total_error=float(total[worst_pre, worst_pay]),
+        worst_error_sequence=tuple(
+            prefix_states[worst_pre].tolist() + payload_states[worst_pay].tolist()
+        ),
+        worst_prefix_error=float((1.0 - prefix_success).mean(axis=1).max()),
+        worst_mean_member_error=float(member_err.mean(axis=1).max()),
+        error_decomposition_margin=float((bound - total).min()),
         worst_payload_leakage=worst_leak,
         worst_leakage_sequence=worst_leak_seq,
-        worst_mean_member_leakage=worst_member_leak,
+        worst_mean_member_leakage=float(member_leak.mean(axis=1).max()),
         leakage_margin=leak_margin,
     )
     return EliminationResult(code=combined, prefix=prefix, report=report)

@@ -273,3 +273,6 @@ class TestCommands:
         lines = table_path.read_text().strip().splitlines()
         assert lines[0] == "state_sequence,error,leakage_bits"
         assert len(lines) == 1 + 16
+        for line in lines[1:]:
+            _, err, leak = line.split(",")
+            assert 0.0 <= float(err) <= 1.0 and float(leak) >= 0.0

@@ -28,7 +28,10 @@ from avwc import (
     verify_robustification,
 )
 from avwc import pipeline
+from avwc.coding import RandomCode, sequence_table
 from avwc.pipeline import PermutationFamily, permute_word, type_class_sequences
+
+import bruteforce_reference as brute
 
 
 def make_code(codewords, input_size, output_size, decoder=None):
@@ -73,6 +76,19 @@ class TestPermutationFamily:
                 assert error_probability(member, pipeline_avwc, s) == pytest.approx(
                     error_probability(pipeline_code, pipeline_avwc, permuted), abs=1e-14
                 )
+                assert leakage_bits(member, pipeline_avwc, s) == pytest.approx(
+                    leakage_bits(pipeline_code, pipeline_avwc, permuted), abs=1e-14
+                )
+
+    def test_permutation_unranking_follows_itertools_order(self):
+        code = make_code([[[0, 1, 0, 1]]], 2, 2)
+        family = PermutationFamily(code)
+        listed = list(itertools.permutations(range(4)))
+        assert len(family) == len(listed)
+        assert [family.permutation(i) for i in range(len(family))] == listed
+        assert family.permutation(-1) == listed[-1]
+        with pytest.raises(IndexError):
+            family.permutation(len(listed))
 
     def test_trivial_family_at_n1(self):
         avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
@@ -175,6 +191,40 @@ class TestReduceRandomCode:
             mean_leak = np.mean([leakage_bits(m, pipeline_avwc, s) for m in reduced.members])
             assert mean_err <= 0.25 + 1e-12
             assert mean_leak <= 0.25 + 1e-12
+
+    def test_retry_cap_below_one_is_rejected(self):
+        avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
+        code = make_code([[[0, 0, 0]], [[1, 1, 1]]], 2, 2)
+        family = robustify(code, avwc)
+        with pytest.raises(ValueError, match="retry_cap"):
+            reduce_random_code(family, avwc, k_count=2, epsilon=0.5, retry_cap=0)
+
+    def test_gathered_member_tables_match_direct_evaluation(self):
+        """A family member's tables read off the base tables equal evaluating the member.
+
+        Random channels and decoder make the tables asymmetric, so a member
+        gathered at the wrong permutation (say sigma's inverse) changes the
+        worst mean error of the draw.
+        """
+        rng = np.random.default_rng(4)
+        avwc = AVWC(
+            main=tuple(Channel(rng.dirichlet(np.ones(2), size=2)) for _ in range(2)),
+            eaves=tuple(Channel(rng.dirichlet(np.ones(2), size=2)) for _ in range(2)),
+        )
+        code = make_code(rng.integers(0, 2, size=(2, 2, 4)), 2, 2, decoder=rng.integers(-1, 2, size=16))
+        family = robustify(code, avwc)
+        explicit = RandomCode(
+            members=list(family.members), mu=Distribution.uniform(len(family.members)), origin="explicit"
+        )
+        for seed in (2, 5, 7):
+            gathered = reduce_random_code(family, avwc, k_count=3, epsilon=1.0, seed=seed)
+            direct = reduce_random_code(explicit, avwc, k_count=3, epsilon=1.0, seed=seed)
+            for a, b in zip(gathered.members, direct.members):
+                assert np.array_equal(a.codewords, b.codewords)
+                assert np.array_equal(a.decoder, b.decoder)
+            for field in ("worst_mean_error", "worst_mean_leakage"):
+                got = getattr(gathered.verification, field)
+                assert got == pytest.approx(getattr(direct.verification, field), abs=1e-12)
 
     def test_impossible_epsilon_fails_with_diagnostics(self, pipeline_avwc, pipeline_code):
         family = robustify(pipeline_code, pipeline_avwc)
@@ -309,6 +359,23 @@ def test_robustification_rows_equal_explicit_group_average(case, picks):
         assert type_class_sequences(s, avwc.state_count) == sorted(set(itertools.permutations(s)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=small_codes())
+def test_sequence_table_matches_brute_force(case):
+    """Every row of the error and leakage tables equals the plain-loop reference."""
+    code, avwc = case
+    table = sequence_table(code, avwc)
+    outputs = list(itertools.product(range(code.output_size), repeat=code.n))
+    decoder_map = {y: int(j) for y, j in zip(outputs, code.decoder) if j != ERASURE}
+    codewords = [[tuple(word) for word in words] for words in code.codewords.tolist()]
+    main_rows = [ch.rows.tolist() for ch in avwc.main]
+    eaves_rows = [ch.rows.tolist() for ch in avwc.eaves]
+    sequences = itertools.product(range(avwc.state_count), repeat=code.n)
+    for row, s in enumerate(sequences):
+        assert abs(table["error"][row] - brute.brute_error(codewords, decoder_map, main_rows, s)) <= 1e-12
+        assert abs(table["leakage"][row] - brute.brute_leakage(codewords, eaves_rows, s)) <= 1e-12
+
+
 def test_type_averages_never_walk_the_group(monkeypatch, pipeline_avwc, pipeline_code):
     """The type-class paths stay O(|S|^n): enumerating n! permutations is an error."""
     def forbidden(*args, **kwargs):
@@ -317,6 +384,10 @@ def test_type_averages_never_walk_the_group(monkeypatch, pipeline_avwc, pipeline
     monkeypatch.setattr(pipeline.itertools, "permutations", forbidden)
     report = verify_robustification(pipeline_code, pipeline_avwc)
     assert report.passed
+    family = robustify(pipeline_code, pipeline_avwc)
+    assert family.members[23].codewords.shape == pipeline_code.codewords.shape
+    reduced = reduce_random_code(family, pipeline_avwc, k_count=4, epsilon=0.3, seed=2)
+    assert reduced.verification.success
     for s in itertools.product(range(2), repeat=4):
         permutation_mean_error(pipeline_code, pipeline_avwc, s, method="type")
     with pytest.raises(AssertionError, match="permutation walk"):
