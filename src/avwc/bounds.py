@@ -9,14 +9,14 @@ of the best one.
 
 The inner minimization over mixture weights q is convex (mutual information
 is convex in the channel and the mixture map is affine), so it is solved for
-all input laws of a batch at once: by a zoom along the edge for two states
-and by Frank-Wolfe with a zoom line search in general.  The outer
-maximization over input distributions (and auxiliary channel pairs) is not
-concave; it is attacked with a multi-start ascent along vertex directions,
-all starts advancing together, plus a coarse simplex-grid sweep used as a
-floor.  When the grid beats the ascent the difference is reported as
-``certified_gap`` instead of being hidden.  Negative bound values are
-reported as computed: a rate below zero just means the bound is vacuous.
+all input laws of a batch at once by pairwise Frank-Wolfe with a zoom line
+search, for every state count above one.  The outer maximization over input
+distributions (and auxiliary channel pairs) is not concave; it is attacked
+with a multi-start ascent along vertex directions, all starts advancing
+together, plus a coarse simplex-grid sweep used as a floor.  When the grid
+beats the ascent the difference is reported as ``certified_gap`` instead of
+being hidden.  Negative bound values are reported as computed: a rate below
+zero just means the bound is vacuous.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import AVWC, Channel, Distribution, product_rows_matrix, simplex_grid
+from .channels import AVWC, Channel, Distribution, check_enumeration, product_rows_matrix, simplex_grid
 from .feasibility import DEFAULT_TOL
 from .information import mi_batch
 from .structure import test_symmetrisable
@@ -49,6 +49,14 @@ class BoundOptions:
     a line search stops once its bracket is no wider than inv_phi**golden_iters
     of the searched interval, the final bracket of that many golden-section
     steps.
+
+    For every state count above one, the inner minimum over q starts each
+    input law at its best point on the grid of step 1/``q_grid_denominator``
+    and runs pairwise Frank-Wolfe until its gap is at most ``fw_tol``, for at
+    most ``fw_max_iters`` steps.  The outer scan over q of the upper bounds
+    takes the grid of step 1/(``outer_q_points`` - 1), then ``refine_rounds``
+    probe rounds, each at a quarter of the step before.  ``multiletter_bound``
+    halves (two states) or quarters (more) ``q_grid_denominator`` for its grid.
     """
 
     starts: int = 32
@@ -150,49 +158,44 @@ def min_mi_over_mixtures(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
     """
     px = np.asarray(px, dtype=float)
     batch = np.atleast_2d(px)
-    s_size = stack.shape[0]
-    if s_size == 1:
+    if stack.shape[0] == 1:
         values, q = mi_batch(batch, stack[0]), np.ones((len(batch), 1))
-    elif s_size == 2:
-        def along_edge(ts: np.ndarray) -> np.ndarray:
-            mixed = np.tensordot(np.stack([1.0 - ts, ts], axis=-1), stack, axes=1)
-            return -mi_batch(batch[:, None, :], mixed)
-
-        t, neg = _line_max(along_edge, len(batch), opts, opts.golden_iters + 20)
-        values, q = -neg, np.stack([1.0 - t, t], axis=1)
     else:
-        values, q = _frank_wolfe_min(batch, stack, opts)
+        values, q = _pairwise_fw_min(batch, stack, opts)
     if px.ndim == 1:
         return float(values[0]), q[0]
     return values, q
 
 
-def _frank_wolfe_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
-    """Frank-Wolfe from the best q-grid point, for every row of ``px`` at once.
+def _pairwise_fw_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
+    """Pairwise Frank-Wolfe from the best q-grid point, every row of ``px`` at once.
 
-    A row leaves the batch once its Frank-Wolfe gap is at most ``fw_tol`` or
-    its line search stays at the current point.
+    Each step moves mass from the away state (the supported state of largest
+    gradient) to the toward state (the smallest), searching over all of the
+    away state's mass, so a state can leave the support exactly.  A row stops
+    once its Frank-Wolfe gap is at most ``fw_tol`` or its line search stays at 0.
     """
     grid = np.array(list(simplex_grid(stack.shape[0], opts.q_grid_denominator)))
     vals = mi_batch(px[:, None, :], np.tensordot(grid, stack, axes=1))
     q = grid[np.argmin(vals, axis=1)]
     active = np.arange(len(px))
     for _ in range(opts.fw_max_iters):
-        p = px[active]
-        mixed = np.tensordot(q[active], stack, axes=1)  # (R, A, B)
+        p, qa = px[active], q[active]
+        mixed = np.tensordot(qa, stack, axes=1)  # (R, A, B)
         out = (p[:, None, :] @ mixed)[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ratio = np.log2(mixed) - np.log2(out)[:, None, :]
         log_ratio = np.where(mixed > 0.0, log_ratio, _LOG_FLOOR)
         log_ratio = np.where(p[:, :, None] > 0.0, log_ratio, 0.0)
         grad = np.einsum("ra,sab,rab->rs", p, stack, log_ratio)
-        vertex = np.argmin(grad, axis=1)
-        gap = np.sum(grad * q[active], axis=1) - grad[np.arange(len(active)), vertex]
-        keep = gap > opts.fw_tol
-        active, p, mixed, vertex = active[keep], p[keep], mixed[keep], vertex[keep]
+        toward = np.argmin(grad, axis=1)
+        away = np.argmax(np.where(qa > 0.0, grad, -math.inf), axis=1)
+        keep = np.sum(grad * qa, axis=1) - grad[np.arange(len(active)), toward] > opts.fw_tol
+        active, p, mixed, toward, away = active[keep], p[keep], mixed[keep], toward[keep], away[keep]
         if not active.size:
             break
-        direction = stack[vertex] - mixed
+        mass = q[active, away]
+        direction = mass[:, None, None] * (stack[toward] - stack[away])
 
         def along(ts: np.ndarray) -> np.ndarray:
             trial = mixed[:, None] + ts[..., None, None] * direction[:, None]
@@ -200,13 +203,11 @@ def _frank_wolfe_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
 
         t, _ = _line_max(along, len(active), opts, opts.golden_iters)
         keep = t > 0.0
-        active, t, vertex = active[keep], t[keep], vertex[keep]
+        active, toward, away, step = active[keep], toward[keep], away[keep], (t * mass)[keep]
         if not active.size:
             break
-        moved = (1.0 - t)[:, None] * q[active]
-        moved[np.arange(len(active)), vertex] += t
-        moved = np.maximum(moved, 0.0)
-        q[active] = moved / moved.sum(axis=1, keepdims=True)
+        q[active, toward] += step
+        q[active, away] -= step
     return mi_batch(px, np.tensordot(q, stack, axes=1)), q
 
 
@@ -376,49 +377,38 @@ def _max_aux_gap(
 def _scan_min_over_q(
     evaluate: Objective, s_size: int, opts: BoundOptions
 ) -> tuple[float, np.ndarray, tuple]:
-    """min over the state simplex by grid scan plus local zoom refinement.
+    """min over the state simplex by a grid scan plus local probe rounds.
 
-    ``evaluate`` maps an (N, S) array of state laws to their N values.
+    ``evaluate`` maps an (N, S) array of state laws to their N values.  The
+    grid step is 1/(``outer_q_points`` - 1).  Each of ``refine_rounds`` rounds
+    quarters the step, then probes the pairs of states in turn, moving 1 to 4
+    steps of mass either way from the best point so far, until no pair gains.
     """
-    if s_size == 1:
-        q = np.ones(1)
-        return float(evaluate(q[None])[0]), q, ({"stage": "outer-q", "points": 1},)
-    if s_size == 2:
-        lo, hi, count = 0.0, 1.0, opts.outer_q_points
-        best_t, best_v = 0.0, math.inf
-        for _ in range(opts.refine_rounds + 1):
-            ts = np.linspace(lo, hi, count)
-            vals = evaluate(np.stack([1.0 - ts, ts], axis=1))
-            k = int(np.argmin(vals))
-            if vals[k] < best_v:
-                best_t, best_v = ts[k], vals[k]
-            lo, hi, count = ts[max(0, k - 1)], ts[min(count - 1, k + 1)], 9
-        trace = {"stage": "outer-q", "points": opts.outer_q_points, "refined": opts.refine_rounds}
-        return float(best_v), np.array([1.0 - best_t, best_t]), (trace,)
-
-    grid = np.array(list(simplex_grid(s_size, opts.q_grid_denominator)))
+    denom = max(1, opts.outer_q_points - 1)
+    grid = np.array(list(simplex_grid(s_size, denom)))
     vals = evaluate(grid)
     k = int(np.argmin(vals))
-    q, best_v = grid[k], float(vals[k])
-    # probes move mass `step` from state j to state i; the best improving probe is taken
-    moves = np.array([(i, j) for i in range(s_size) for j in range(s_size) if i != j])
-    step = 1.0 / opts.q_grid_denominator
-    for _ in range(opts.refine_rounds * 8):
-        amount = np.minimum(step, q[moves[:, 1]])
-        probes = np.repeat(q[None], len(moves), axis=0)
-        rows = np.arange(len(moves))
-        probes[rows, moves[:, 1]] -= amount
-        probes[rows, moves[:, 0]] += amount
-        probes = probes[amount > 0.0]
-        vals = evaluate(probes)
-        k = int(np.argmin(vals))
-        if vals[k] < best_v - 1e-12:
-            q, best_v = probes[k], float(vals[k])
-            continue
-        step /= 2.0
-        if step < 1e-4:
-            break
-    return best_v, q, ({"stage": "outer-q", "points": "grid+probe"},)
+    q, best_v, step = grid[k], float(vals[k]), 1.0 / denom
+    unit, shifts = np.eye(s_size), np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+    pairs = list(itertools.combinations(range(s_size), 2))
+    for _ in range(opts.refine_rounds):
+        step /= 4.0
+        # probe the pairs in turn until each has been probed since the last move
+        idle = 0
+        for i, j in itertools.cycle(pairs):
+            # move 1 to 4 steps of mass from state j to state i or back
+            probes = q + np.outer(step * shifts, unit[i] - unit[j])
+            inside = np.flatnonzero(probes.min(axis=1) >= 0.0)
+            vals = evaluate(probes[inside]) if inside.size else [math.inf]
+            k = int(np.argmin(vals))
+            idle += 1
+            if vals[k] < best_v:
+                q, best_v = probes[inside[k]], float(vals[k])
+                # a move to the end of the probed range leaves this pair's line unsettled
+                idle = int(abs(shifts[inside[k]]) < 4)
+            if idle == len(pairs):
+                break
+    return best_v, q, ({"stage": "outer-q", "points": len(grid), "refined": opts.refine_rounds},)
 
 
 # ---------------------------------------------------------------------------
@@ -546,21 +536,14 @@ def multiletter_bound(
         u_size = input_count + 1
     if u_size < input_count:
         raise ValueError("u_size below |A|^n cannot embed U = X^n")
-    from .channels import check_enumeration
-
     check_enumeration(input_count * avwc.main_output_size**n, "multi-letter main product")
     check_enumeration(input_count * avwc.eaves_output_size**n, "multi-letter eaves product")
 
     s_size = avwc.state_count
     wstack = avwc.main_stack
     vstack = avwc.eaves_stack
-    if s_size == 1:
-        q_points = [np.ones(1)]
-    elif s_size == 2:
-        denom = max(4, opts.q_grid_denominator // 2)
-        q_points = [np.array([1.0 - k / denom, k / denom]) for k in range(denom + 1)]
-    else:
-        q_points = list(simplex_grid(s_size, max(2, opts.q_grid_denominator // 4)))
+    denom = max(4, opts.q_grid_denominator // 2) if s_size == 2 else max(2, opts.q_grid_denominator // 4)
+    q_points = list(simplex_grid(s_size, denom))
 
     def products(points: Sequence[np.ndarray], stack: np.ndarray) -> np.ndarray:
         singles = [np.tensordot(q, stack, axes=1) for q in points]
@@ -575,16 +558,11 @@ def multiletter_bound(
 
     # the shared q that minimizes the legitimate receiver's term at the final pair
     q_min = None
-    if not per_letter and s_size > 1:
-        rows_ux = pair.x_given_u.rows
-        pu = pair.p_u.probs
-
+    if not per_letter or s_size == 1:
         def y_at(qs: np.ndarray) -> np.ndarray:
-            return mi_batch(pu, rows_ux @ products(list(qs), wstack))
+            return mi_batch(pair.p_u.probs, pair.x_given_u.rows @ products(list(qs), wstack))
 
         _, q_min, _ = _scan_min_over_q(y_at, s_size, opts)
-    elif s_size == 1:
-        q_min = np.ones(1)
 
     return BoundResult(
         value=value / n,

@@ -79,11 +79,6 @@ class Distribution:
     def __len__(self) -> int:
         return self.support_size
 
-    def log_probs(self) -> np.ndarray:
-        """Elementwise log2; zero entries map to -inf."""
-        with np.errstate(divide="ignore"):
-            return np.log2(self.probs)
-
     def allclose(self, other: "Distribution", atol: float = 1e-12) -> bool:
         return self.support_size == other.support_size and bool(
             np.allclose(self.probs, other.probs, atol=atol, rtol=0.0)
@@ -131,10 +126,6 @@ class Channel:
 
     def row(self, x: int) -> np.ndarray:
         return self.rows[x]
-
-    def log_rows(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log2(self.rows)
 
     def apply(self, p: Distribution) -> Distribution:
         """Output distribution pW."""

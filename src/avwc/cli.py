@@ -118,9 +118,9 @@ def cmd_structure(args) -> dict:
 
 def _bound_options(args) -> BoundOptions:
     kwargs = {}
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         kwargs["p_grid_denominator"] = args.grid
-    if getattr(args, "starts", None):
+    if getattr(args, "starts", None) is not None:
         kwargs["starts"] = args.starts
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
@@ -375,6 +375,17 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count or grid denominator, which must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avwc",
@@ -392,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="secrecy-capacity bounds")
     p_bounds.add_argument("spec")
-    p_bounds.add_argument("--grid", type=int, default=None, help="simplex grid denominator")
-    p_bounds.add_argument("--starts", type=int, default=None, help="ascent multi-start count")
+    p_bounds.add_argument("--grid", type=_positive_int, default=None, help="simplex grid denominator")
+    p_bounds.add_argument("--starts", type=_positive_int, default=None, help="ascent multi-start count")
     p_bounds.add_argument("--u-size", dest="u_size", type=int, default=None)
     p_bounds.add_argument("--n", type=int, default=0, help="also evaluate the n-letter bound")
     p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=int, default=None)

@@ -15,7 +15,13 @@ from avwc import (
     secrecy_lower_bound,
     secrecy_upper_bound_single_letter,
 )
-from avwc.bounds import _line_max, min_mi_over_mixtures, project_to_simplex, simplex_grid
+from avwc.bounds import (
+    _line_max,
+    _scan_min_over_q,
+    min_mi_over_mixtures,
+    project_to_simplex,
+    simplex_grid,
+)
 from avwc.information import mi_batch, mi_from_arrays
 
 
@@ -104,9 +110,53 @@ class TestSimplexHelpers:
         scan = min(mi_from_arrays(p, np.tensordot(g, stack, axes=1)) for g in simplex_grid(3, 64))
         assert val <= scan + 1e-6
 
+    def test_pairwise_step_drops_an_unused_state(self):
+        # two Z channels whose mixture is noisier than either, and a third state
+        # slightly less noisy than their best mixture: the minimiser leaves the
+        # third state out, yet the best q-grid point gives it weight 1/16
+        stack = np.array(
+            [
+                [[1.0, 0.0], [0.4, 0.6]],
+                [[0.63, 0.37], [0.0, 1.0]],
+                [[0.83, 0.17], [0.2158, 0.7842]],
+            ]
+        )
+        p = np.array([0.5, 0.5])
+        grid = np.array(list(simplex_grid(3, FAST.q_grid_denominator)))
+        start = grid[np.argmin([mi_from_arrays(p, np.tensordot(g, stack, axes=1)) for g in grid])]
+        assert start[2] > 0.0
+        val, q = min_mi_over_mixtures(p, stack, FAST)
+        # a pairwise step can move all of a state's mass away; plain FW only shrinks it
+        assert q[2] == 0.0
+        assert val == pytest.approx(min_mi_over_mixtures(p, stack[:2], FAST)[0], abs=1e-12)
+
+
+class TestOuterScan:
+    def test_single_state_takes_one_evaluation(self):
+        calls = []
+
+        def evaluate(qs):
+            calls.append(qs.copy())
+            return np.zeros(len(qs))
+
+        value, q, _ = _scan_min_over_q(evaluate, 1, BoundOptions())
+        assert len(calls) == 1 and calls[0].tolist() == [[1.0]]
+        assert value == 0.0 and q.tolist() == [1.0]
+
+    @pytest.mark.parametrize("s_size", [2, 3])
+    @pytest.mark.parametrize(
+        "opts", [BoundOptions(), BoundOptions(outer_q_points=5, refine_rounds=1)], ids=["default", "coarse"]
+    )
+    def test_lands_within_the_final_step_of_a_quadratic_minimiser(self, s_size, opts):
+        step = 1.0 / (opts.outer_q_points - 1)
+        rng = np.random.default_rng(60 + s_size)
+        for target in rng.dirichlet(np.full(s_size, 3.0), size=20):
+            _, q, _ = _scan_min_over_q(lambda qs: np.sum((qs - target) ** 2, axis=1), s_size, opts)
+            assert np.linalg.norm(q - target) <= step / 4**opts.refine_rounds
+
 
 class TestBatchedOptimizers:
-    @pytest.mark.parametrize("s_size", [2, 3])
+    @pytest.mark.parametrize("s_size", [1, 2, 3])
     def test_inner_min_batch_rows_match_dense_scan(self, s_size):
         rng = np.random.default_rng(55 + s_size)
         stack = np.stack([rng.dirichlet(np.ones(3), size=2) for _ in range(s_size)])
@@ -118,7 +168,7 @@ class TestBatchedOptimizers:
             ts = np.linspace(0.0, 1.0, 2001)
             grid, below = np.stack([1.0 - ts, ts], axis=1), 1e-6
         else:
-            grid, below = np.array(list(simplex_grid(3, 64))), 1e-3
+            grid, below = np.array(list(simplex_grid(s_size, 64))), 1e-3
         mixtures = np.tensordot(grid, stack, axes=1)
         for p, val, q in zip(px, values, qs):
             scan = min(mi_from_arrays(p, rows) for rows in mixtures)

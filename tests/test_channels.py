@@ -40,10 +40,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
 
-    def test_log_probs_zero_entry(self):
-        d = Distribution.point_mass(2, 0)
-        assert d.log_probs()[1] == -np.inf
-
 
 class TestChannel:
     def test_rejects_bad_row_sum(self):
@@ -190,14 +186,6 @@ def test_mixture_of_products_equals_product_of_mixture():
         mixed = mixture_channel(family, q)
         direct = product_channel_matrix([mixed], (0,) * n).rows
         assert np.max(np.abs(averaged - direct)) <= 1e-9
-
-
-def test_log_scale_accessors():
-    ch = Channel(np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25]]))
-    logs = ch.log_rows()
-    assert logs[0, 0] == -1.0
-    assert logs[0, 2] == -np.inf
-    assert logs[1, 0] == -2.0
 
 
 def test_decoding_probability_never_exceeds_one():

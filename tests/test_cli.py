@@ -138,6 +138,14 @@ class TestCommands:
         second = json.dumps(json.loads(out2)["results"], sort_keys=True)
         assert first == second
 
+    @pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-2"), ("--starts", "0")])
+    def test_bounds_rejects_counts_below_one(self, capsys, flag, value):
+        # 0 must not stand for the default, nor a negative grid drop the grid floor
+        with pytest.raises(SystemExit) as exited:
+            main(["bounds", sample("single_bsc.avwc"), flag, value])
+        assert exited.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.avwc"
         bad.write_text("avwc 1\nstates 1\ninputs 2\noutputs main 2\noutputs eaves 2\nmain 0\n0.9 0.2\n0.1 0.9\neaves 0\n.5 .5\n.5 .5\n")

@@ -1,4 +1,4 @@
-"""One traced round of two benchmark workloads, checked against their oracles.
+"""One traced round of each benchmark workload, checked against their oracles.
 
 The tracer wraps library functions by name, so renaming one that it wraps
 breaks the benchmark; this catches that before a benchmark run does.
@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["code-pipeline", "bounds-s2"])
+@pytest.mark.parametrize("workload", ["code-pipeline", "bounds-s2", "bounds-s3"])
 def test_traced_round_is_correct(workload):
     done = subprocess.run(
         [
