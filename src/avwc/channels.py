@@ -332,10 +332,7 @@ def product_channel_matrix(family: Sequence[Channel], s) -> Channel:
     a = family[0].input_size
     b = family[0].output_size
     check_enumeration((a ** len(symbols)) * (b ** len(symbols)), "product channel matrix")
-    rows = np.ones((1, 1))
-    for si in symbols:
-        rows = np.kron(rows, family[si].rows)
-    return Channel(rows)
+    return Channel(product_rows_matrix([family[si].rows for si in symbols]))
 
 
 def product_rows_matrix(position_rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -366,11 +363,8 @@ def simplex_grid(dim: int, denominator: int) -> Iterator[np.ndarray]:
 
 
 def iid_extension(q: Distribution, n: int) -> Distribution:
-    """Product distribution over length-n state sequences, lexicographic order."""
+    """Product distribution over length-n words (state sequences or codewords), lexicographic order."""
     if n < 1:
         raise ValueError("extension length must be at least 1")
-    check_enumeration(q.support_size**n, "i.i.d. state-distribution extension")
-    probs = np.ones(1)
-    for _ in range(n):
-        probs = np.kron(probs, q.probs)
-    return Distribution(probs)
+    check_enumeration(q.support_size**n, "i.i.d. extension")
+    return Distribution(product_rows_matrix([q.probs[None, :]] * n)[0])

@@ -7,9 +7,12 @@ disjoint by representation.
 
 Every exact evaluation runs on one kernel, ``output_law`` (p(y^n | j) for all
 codewords at once): ``sequence_table`` applies it at every state sequence and
-the one-sequence functions are front-ends over it.  Leakage is never estimated
+the one-sequence functions are front-ends over it.  Leakage, I(J; Z^n) with J
+uniform, is ``information.mi_batch`` on those laws; it is never estimated
 by sampling because sampled mutual-information estimates are biased, so
-oversized instances are refused instead.
+oversized instances are refused instead.  Typicality decoding and the
+secrecy-event check test all codewords in one ``cond_typical_mask`` call
+per channel.
 """
 
 from __future__ import annotations
@@ -25,21 +28,21 @@ from .channels import (
     Distribution,
     StateSequence,
     check_enumeration,
+    iid_extension,
     index_to_word,
     mixture_channel,
+    product_rows_matrix,
     sequence_symbols,
     word_matrix,
 )
 from .errors import DegenerateRateError
-from .information import entropy_from_array, joint_mi_from_array, mi_from_arrays
+from .information import entropy_from_array, mi_batch, mi_from_arrays
 from .typicality import (
     TYPICALITY_C,
     TypicalityParams,
     cond_typical_mask,
-    conditional_word_probabilities,
     typical_mask,
     typicality_slack,
-    word_probabilities,
 )
 
 ERASURE = -1
@@ -156,7 +159,8 @@ def _error(code: WiretapCode, channels: np.ndarray) -> float:
 
 
 def _leakage(code: WiretapCode, channels: np.ndarray) -> float:
-    return joint_mi_from_array(output_law(code.codewords, channels) / code.j_count)
+    uniform = np.full(code.j_count, 1.0 / code.j_count)
+    return float(mi_batch(uniform, output_law(code.codewords, channels)))
 
 
 def _sequence_channels(stack: np.ndarray, code: WiretapCode, s, state_count: int) -> np.ndarray:
@@ -389,6 +393,7 @@ def build_random_codebook(
     if tau <= 0:
         raise ValueError("tau must be positive")
     tp = TypicalityParams(n, delta)
+    j_exp = None  # no rate exponent when both counts are given
     if j_count is None or l_count is None:
         rate_j, rate_l, j_exp, l_exp = codebook_rates(p, avwc, n, tau)
         if j_count is None:
@@ -412,7 +417,7 @@ def build_random_codebook(
             exponent=j_exp,
         )
     support = words[mask]
-    weights = word_probabilities(p.probs, words)[mask]
+    weights = iid_extension(p, n).probs[mask]
     weights = weights / weights.sum()
 
     picks = sample_codeword_indices(weights, j_count * l_count, seed)
@@ -455,13 +460,11 @@ def decode_rule(
     grid = list(q_grid) if q_grid is not None else default_q_grid(avwc.state_count)
     outputs = word_matrix(code.output_size, code.n)
     check_enumeration(len(outputs) * code.j_count * code.l_count * len(grid), "typicality decoding")
-    channels = [mixture_channel(list(avwc.main), q) for q in grid]
+    words = code.codewords.reshape(-1, code.n)
     claimed = np.zeros((code.j_count, len(outputs)), dtype=bool)
-    for j in range(code.j_count):
-        for l in range(code.l_count):
-            x = code.codewords[j, l]
-            for ch in channels:
-                claimed[j] |= cond_typical_mask(ch, x, tp, outputs)
+    for q in grid:
+        mask = cond_typical_mask(mixture_channel(list(avwc.main), q), words, tp, outputs)
+        claimed |= mask.reshape(code.j_count, code.l_count, -1).any(axis=1)
     counts = claimed.sum(axis=0)
     decoder = np.full(len(outputs), ERASURE)
     unique = counts == 1
@@ -533,43 +536,36 @@ def check_secrecy_events(
     in_mask = typical_mask(design_p, tp, in_words)
     if not in_mask.any():
         raise ValueError("empty typical set: no pruned distribution exists")
-    support = in_words[in_mask]
-    pruned = word_probabilities(design_p.probs, in_words)[in_mask]
+    pruned = iid_extension(design_p, n).probs[in_mask]
     pruned = pruned / pruned.sum()
+    code_index = code.codewords @ avwc.input_size ** np.arange(n - 1, -1, -1)  # (J, L)
 
     slack = typicality_slack(tp.delta, avwc.input_size, avwc.eaves_output_size, n)
     per_message = []
     theta_masses = []
     band_supports = []
-    for q_index in range(avwc.state_count):
-        v_q = avwc.eaves[q_index]
+    for q_index, v_q in enumerate(avwc.eaves):
         out_entropy = entropy_from_array(design_p.probs @ v_q.rows)
         alpha = 2.0 ** (-n * (out_entropy + slack))
+        # truncated density of every input word: V_q^n(z | x) on its conditionally typical z
+        density = product_rows_matrix([v_q.rows] * n) * cond_typical_mask(v_q, in_words, tp, out_words)
 
-        def truncated_density(x: np.ndarray) -> np.ndarray:
-            probs = conditional_word_probabilities(v_q.rows, x, out_words)
-            return probs * cond_typical_mask(v_q, x, tp, out_words)
-
-        theta_raw = np.zeros(len(out_words))
-        for weight, x in zip(pruned, support):
-            theta_raw += weight * truncated_density(x)
+        theta_raw = (pruned[:, None] * density[in_mask]).sum(axis=0)
         band = theta_raw >= epsilon * alpha
         theta = theta_raw * band
         theta_masses.append(float(theta.sum()))
         band_supports.append(int(band.sum()))
 
-        for j in range(code.j_count):
-            avg = np.zeros(len(out_words))
-            for l in range(code.l_count):
-                avg += truncated_density(code.codewords[j, l])
-            avg = (avg / code.l_count) * band
-            lo = (1.0 - epsilon) * theta
-            hi = (1.0 + epsilon) * theta
-            pad = 1e-12 * (1.0 + theta)
-            holds = bool(np.all(avg >= lo - pad) and np.all(avg <= hi + pad))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                deviation = np.where(theta > 0.0, np.abs(avg - theta) / theta, np.where(avg > 0, np.inf, 0.0))
-            per_message.append((j, q_index, holds, float(deviation.max())))
+        avg = (density[code_index].sum(axis=1) / code.l_count) * band  # (J, c^n)
+        lo = (1.0 - epsilon) * theta
+        hi = (1.0 + epsilon) * theta
+        pad = 1e-12 * (1.0 + theta)
+        holds = np.all((avg >= lo - pad) & (avg <= hi + pad), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deviation = np.where(theta > 0.0, np.abs(avg - theta) / theta, np.where(avg > 0, np.inf, 0.0))
+        per_message.extend(
+            (j, q_index, bool(holds[j]), float(deviation[j].max())) for j in range(code.j_count)
+        )
     return SecrecyEventReport(
         epsilon=epsilon,
         per_message=tuple(per_message),

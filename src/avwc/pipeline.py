@@ -41,8 +41,7 @@ from .coding import (
     sequence_table,
 )
 from .errors import PrefixSearchFailureError, ReductionFailureError
-from .information import joint_mi_from_array
-from .typicality import conditional_word_probabilities
+from .information import mi_batch
 
 
 def permute_word(word: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
@@ -403,10 +402,8 @@ def search_prefix_code(
     codewords = np.array(best_words, dtype=int)
     uniform = Distribution.uniform(avwc.state_count)
     mixed = np.tensordot(uniform.probs, avwc.main_stack, axes=1)
-    outputs = word_matrix(avwc.main_output_size, prefix_len)
-    likelihood = np.stack(
-        [conditional_word_probabilities(mixed, codewords[i], outputs) for i in range(k_count)]
-    )
+    # p(y | codeword i) of the K-message, L = 1 code under the mixed channel at every position
+    likelihood = output_law(codewords[:, None, :], np.broadcast_to(mixed, (prefix_len,) + mixed.shape))
     decoder = np.argmax(likelihood, axis=0)
     return PrefixCode(codewords=codewords, decoder=decoder)
 
@@ -498,34 +495,29 @@ def eliminate_randomness(
             for s in prefix_states
         ]
     )  # (|S|^prefix_len, K)
-    eaves_prefix_rows = [output_law(prefix_as_code, avwc.eaves_stack[s]) for s in prefix_states]
+    eaves_prefix_rows = np.stack(
+        [output_law(prefix_as_code, avwc.eaves_stack[s]) for s in prefix_states]
+    )  # (|S|^prefix_len, K, c^prefix_len)
 
     # payload: member errors from their tables, eavesdropper laws from the kernel
     payload_states = word_matrix(avwc.state_count, n)
     member_err = np.stack([sequence_table(m, avwc, ("error",))["error"] for m in members], axis=1)
     all_members = member_words.reshape(k * j_count, l_count, n)  # one K*J-message code
-    member_cond = [
-        output_law(all_members, avwc.eaves_stack[s]).reshape(k, j_count, -1) for s in payload_states
-    ]  # each (K, J, c^n): member i's p(z^n | j)
-    member_leak = np.array(
-        [[joint_mi_from_array(c / j_count) for c in cond] for cond in member_cond]
-    )  # (|S|^n, K)
+    uniform_j = np.full(j_count, 1.0 / j_count)
+    member_leak = np.empty((len(payload_states), k))
+    leak = np.empty((len(prefix_states), len(payload_states)))  # payload leakage per (prefix, payload)
+    for t, s in enumerate(payload_states):
+        cond = output_law(all_members, avwc.eaves_stack[s]).reshape(k, j_count, -1)  # p_i(z^n | j)
+        member_leak[t] = mi_batch(uniform_j, cond)
+        # member identity acts as encoder randomness: p(u, z^n | j) = mean_i p_i(u) p_i(z^n | j)
+        joint = np.einsum("piu,ijz->pjuz", eaves_prefix_rows, cond) / k
+        leak[:, t] = mi_batch(uniform_j, joint.reshape(len(prefix_states), j_count, -1))
 
-    # error: every (prefix, payload) pair at once; row-major order is lexicographic
+    # every (prefix, payload) pair at once; row-major order is lexicographic
     total = 1.0 - (prefix_success[:, None, :] * (1.0 - member_err)[None, :, :]).mean(axis=2)
     bound = (1.0 - prefix_success).mean(axis=1)[:, None] + member_err.mean(axis=1)[None, :]
     worst_pre, worst_pay = np.unravel_index(int(np.argmax(total)), total.shape)
-
-    # payload leakage: member identity acts as encoder randomness
-    worst_leak, worst_leak_seq = -1.0, None
-    leak_margin = math.inf
-    for s_pre, arows in zip(prefix_states.tolist(), eaves_prefix_rows):
-        for s_pay, cond, leaks in zip(payload_states.tolist(), member_cond, member_leak):
-            joint = np.einsum("iu,ijz->juz", arows, cond) / (k * j_count)
-            leak = joint_mi_from_array(joint.reshape(j_count, -1))
-            if leak > worst_leak:
-                worst_leak, worst_leak_seq = leak, tuple(s_pre + s_pay)
-            leak_margin = min(leak_margin, float(leaks.mean()) - leak)
+    leak_pre, leak_pay = np.unravel_index(int(np.argmax(leak)), leak.shape)
 
     report = EliminationReport(
         prefix_len=prefix_len,
@@ -537,9 +529,11 @@ def eliminate_randomness(
         worst_prefix_error=float((1.0 - prefix_success).mean(axis=1).max()),
         worst_mean_member_error=float(member_err.mean(axis=1).max()),
         error_decomposition_margin=float((bound - total).min()),
-        worst_payload_leakage=worst_leak,
-        worst_leakage_sequence=worst_leak_seq,
+        worst_payload_leakage=float(leak[leak_pre, leak_pay]),
+        worst_leakage_sequence=tuple(
+            prefix_states[leak_pre].tolist() + payload_states[leak_pay].tolist()
+        ),
         worst_mean_member_leakage=float(member_leak.mean(axis=1).max()),
-        leakage_margin=leak_margin,
+        leakage_margin=float((member_leak.mean(axis=1)[None, :] - leak).min()),
     )
     return EliminationResult(code=combined, prefix=prefix, report=report)

@@ -6,6 +6,8 @@ joint pair frequencies against the channel law the same way.  The slack
 functions feeding the cardinality and pointwise-probability bounds are a
 configuration choice (classical type-counting slack); the verification
 report recomputes every inequality by enumeration and returns raw margins.
+The n-fold word laws are ``channels.iid_extension`` and the rows of
+``product_rows_matrix``; ``cond_typical_mask`` tests a batch of words at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, Distribution, check_enumeration, word_matrix
+from .channels import (
+    Channel,
+    Distribution,
+    check_enumeration,
+    iid_extension,
+    product_rows_matrix,
+    word_matrix,
+)
 from .information import entropy_from_array, xlog2x
 
 #: exponent constant in the measure bounds, 1/(2 ln 2)
@@ -65,25 +74,28 @@ def typical_set(p: Distribution, tp: TypicalityParams) -> list[tuple[int, ...]]:
 def cond_typical_mask(
     w: Channel, x_word, tp: TypicalityParams, outputs: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mask over all output words of conditional typicality given ``x_word``."""
+    """Mask over all output words of conditional typicality given ``x_word``.
+
+    ``x_word`` is one input word (n,) or a batch (m, n), giving a (|B|^n,) or
+    (m, |B|^n) mask; the joint counts come from one matmul per symbol pair.
+    """
     x = np.asarray(x_word, dtype=int)
-    if x.shape != (tp.n,):
+    if x.ndim not in (1, 2) or x.shape[-1] != tp.n:
         raise ValueError("conditioning word length does not match the block length")
     if outputs is None:
         outputs = word_matrix(w.output_size, tp.n)
-    mask = np.ones(len(outputs), dtype=bool)
+    xs = x.reshape(-1, tp.n)
+    at_b = [(outputs == b).T.astype(float) for b in range(w.output_size)]
+    mask = np.ones((len(xs), len(outputs)), dtype=bool)
     for a in range(w.input_size):
-        positions = np.nonzero(x == a)[0]
-        if len(positions) == 0:
-            continue  # absent symbols impose no joint-frequency constraint
-        sub = outputs[:, positions]
+        at_a = (xs == a).astype(float)
+        share = at_a.sum(axis=1, keepdims=True) / tp.n
         for b in range(w.output_size):
-            counts = (sub == b).sum(axis=1)
-            target = (len(positions) / tp.n) * w.rows[a, b]
-            mask &= np.abs(counts / tp.n - target) <= tp.delta + _FREQ_EPS
+            counts = at_a @ at_b[b]
+            mask &= np.abs(counts / tp.n - share * w.rows[a, b]) <= tp.delta + _FREQ_EPS
             if w.rows[a, b] == 0.0:
                 mask &= counts == 0
-    return mask
+    return mask.reshape(x.shape[:-1] + (len(outputs),))
 
 
 def cond_typical_set(w: Channel, x_word, tp: TypicalityParams) -> list[tuple[int, ...]]:
@@ -91,18 +103,6 @@ def cond_typical_set(w: Channel, x_word, tp: TypicalityParams) -> list[tuple[int
     outputs = word_matrix(w.output_size, tp.n)
     mask = cond_typical_mask(w, x_word, tp, outputs)
     return [tuple(int(v) for v in row) for row in outputs[mask]]
-
-
-def word_probabilities(vector: np.ndarray, words: np.ndarray) -> np.ndarray:
-    return np.prod(vector[words], axis=1)
-
-
-def conditional_word_probabilities(rows: np.ndarray, x: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """W^n(y|x) for every output word y (lexicographic)."""
-    probs = np.ones(len(outputs))
-    for pos, a in enumerate(x):
-        probs *= rows[int(a), outputs[:, pos]]
-    return probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,17 +146,15 @@ def verify_typicality_bounds(p: Distribution, w: Channel, tp: TypicalityParams) 
     out_words = word_matrix(b_size, n)
 
     in_mask = typical_mask(p, tp, in_words)
-    input_mass = float(word_probabilities(p.probs, in_words)[in_mask].sum())
+    input_mass = float(iid_extension(p, n).probs[in_mask].sum())
     exponent = 2.0 ** (-n * TYPICALITY_C * tp.delta**2)
     input_bound = 1.0 - (n + 1) ** a_size * exponent
     input_margin = input_mass - input_bound
 
+    # row x: W^n(y | x) on the y conditionally typical given x
+    typical_probs = product_rows_matrix([w.rows] * n) * cond_typical_mask(w, in_words, tp, out_words)
     cond_bound = 1.0 - (n + 1) ** (a_size * b_size) * exponent
-    cond_mass_min = 1.0
-    for x in in_words:
-        mask = cond_typical_mask(w, x, tp, out_words)
-        mass = float(conditional_word_probabilities(w.rows, x, out_words)[mask].sum())
-        cond_mass_min = min(cond_mass_min, mass)
+    cond_mass_min = min(1.0, float(typical_probs.sum(axis=1).min()))
     cond_margin = cond_mass_min - cond_bound
 
     slack = typicality_slack(tp.delta, a_size, b_size, n)
@@ -168,13 +166,7 @@ def verify_typicality_bounds(p: Distribution, w: Channel, tp: TypicalityParams) 
 
     cond_entropy = float(-p.probs @ np.sum(xlog2x(w.rows), axis=1))
     beta = 2.0 ** (-n * (cond_entropy - slack))
-    beta_max = 0.0
-    for x in in_words[in_mask]:
-        mask = cond_typical_mask(w, x, tp, out_words)
-        if mask.any():
-            beta_max = max(
-                beta_max, float(conditional_word_probabilities(w.rows, x, out_words)[mask].max())
-            )
+    beta_max = float(typical_probs[in_mask].max(initial=0.0))
     beta_margin = beta - beta_max
 
     violations = []

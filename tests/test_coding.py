@@ -77,6 +77,14 @@ class TestCodebookRates:
             build_random_codebook(Distribution.uniform(2), avwc, 8, tau=0.9, seed=0)
         assert err.value.exponent < 0
 
+    def test_empty_typical_set_with_explicit_counts_raises(self, degraded_two_state_avwc):
+        p = Distribution(np.array([0.3, 0.7]))
+        with pytest.raises(DegenerateRateError, match="typical set") as err:
+            build_random_codebook(
+                p, degraded_two_state_avwc, 1, tau=0.1, seed=0, delta=0.1, j_count=2, l_count=2
+            )
+        assert err.value.exponent is None
+
     def test_point_mass_input_gives_constant_codewords(self):
         avwc = AVWC(main=(Channel.bsc(0.0),), eaves=(Channel.bsc(0.5),))
         code = build_random_codebook(

@@ -294,16 +294,29 @@ class TestEliminateRandomness:
         assert outcome.code.j_count == 4 * 2
 
     def test_combined_code_matches_direct_evaluation(self):
-        """The factorized totals agree with a plain evaluation of the combined code."""
-        avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.35),))
-        m1 = make_code([[[0, 0]], [[1, 1]]], 2, 2, decoder=[0, ERASURE, ERASURE, 1])
-        m2 = make_code([[[0, 1]], [[1, 0]]], 2, 2, decoder=[ERASURE, 0, 1, ERASURE])
-        from avwc.coding import RandomCode
-
+        """The factorized error and payload leakage agree with a plain evaluation of the combined code."""
+        avwc = AVWC(
+            main=(Channel.bsc(0.1), Channel.bsc(0.2)),
+            eaves=(Channel.bsc(0.35), Channel.bsc(0.15)),
+        )
+        m1 = make_code([[[0, 0], [0, 1]], [[1, 1], [1, 0]]], 2, 2, decoder=[0, 0, 1, 1])
+        m2 = make_code([[[0, 1], [1, 1]], [[1, 0], [0, 0]]], 2, 2, decoder=[1, ERASURE, ERASURE, 0])
         rc = RandomCode(members=[m1, m2], mu=Distribution.uniform(2), origin="reduced")
         outcome = eliminate_randomness(rc, avwc, prefix_len=2)
+        report = outcome.report
         direct = evaluate_code(outcome.code, avwc, objectives=("error",))
-        assert direct.worst_state_error == pytest.approx(outcome.report.worst_total_error, abs=1e-12)
+        assert direct.worst_state_error == pytest.approx(report.worst_total_error, abs=1e-12)
+
+        # the combined code as a J-message code whose K*L randomizers are the (member, l) pairs
+        combined = outcome.code
+        words = combined.codewords.reshape(2, 2, 2, combined.n).transpose(1, 0, 2, 3)
+        decoder = np.where(combined.decoder == ERASURE, ERASURE, combined.decoder % 2)
+        payload = make_code(words.reshape(2, 4, combined.n), 2, 2, decoder=decoder)
+        leak = evaluate_code(payload, avwc, objectives=("leakage",)).worst_leakage_bits
+        assert leak > 0.0
+        assert leak == pytest.approx(report.worst_payload_leakage, abs=1e-12)
+        attained = leakage_bits(payload, avwc, report.worst_leakage_sequence)
+        assert attained == pytest.approx(report.worst_payload_leakage, abs=1e-12)
 
     def test_rejects_nonuniform_selection(self, pipeline_avwc, pipeline_code):
         from avwc.coding import RandomCode

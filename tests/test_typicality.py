@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avwc import (
     Channel,
@@ -9,6 +11,7 @@ from avwc import (
     typical_set,
     verify_typicality_bounds,
 )
+from avwc.channels import product_rows_matrix, word_matrix
 from avwc.typicality import cond_typical_mask, typical_mask
 
 
@@ -102,3 +105,47 @@ class TestVerifyBounds:
         report = verify_typicality_bounds(p, Channel.bsc(0.1), TypicalityParams(3, 0.1))
         assert typical_set(p, TypicalityParams(3, 0.1)) == []
         assert report.passed
+
+
+@st.composite
+def channels_with_words(draw):
+    """A channel with exact zeros (integer weights), a block length and a batch of input words."""
+    a, b, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 3), min_size=b, max_size=b).filter(any)
+    rows = np.array([draw(weights) for _ in range(a)], dtype=float)
+    words = draw(st.lists(st.lists(st.integers(0, a - 1), min_size=n, max_size=n), min_size=1, max_size=5))
+    delta = draw(st.sampled_from([0.05, 0.15, 0.25, 0.5]))
+    return Channel(rows / rows.sum(axis=1, keepdims=True)), np.array(words), TypicalityParams(n, delta)
+
+
+def _joint_count_mask(rows, x, y, tp):
+    """Conditional typicality of y given x from joint counts, by plain loops."""
+    for a in range(len(rows)):
+        share = sum(1 for xi in x if xi == a) / tp.n
+        for b in range(len(rows[0])):
+            count = sum(1 for xi, yi in zip(x, y) if xi == a and yi == b)
+            if abs(count / tp.n - share * rows[a][b]) > tp.delta + 1e-12:
+                return False
+            if rows[a][b] == 0.0 and count > 0:
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=channels_with_words())
+def test_batched_cond_mask_and_product_rows_match_plain_loops(case):
+    w, words, tp = case
+    outputs = word_matrix(w.output_size, tp.n)
+    batch = cond_typical_mask(w, words, tp, outputs)
+    assert batch.shape == (len(words), len(outputs))
+    product = product_rows_matrix([w.rows] * tp.n)
+    rows = w.rows.tolist()
+    for x, row in zip(words, batch):
+        assert np.array_equal(row, cond_typical_mask(w, x, tp, outputs))
+        assert row.tolist() == [_joint_count_mask(rows, x.tolist(), y.tolist(), tp) for y in outputs]
+        x_index = int(x @ w.input_size ** np.arange(tp.n - 1, -1, -1))
+        for y, value in zip(outputs.tolist(), product[x_index]):
+            plain = 1.0
+            for xi, yi in zip(x.tolist(), y):
+                plain *= rows[xi][yi]
+            assert value == plain
