@@ -44,6 +44,15 @@ def check_enumeration(count: int, what: str) -> None:
         )
 
 
+_CHUNK_FLOATS = 2**13  # working-memory budget: floats per batched temporary
+
+
+def chunks(count: int, floats_per_item: int) -> Iterator[slice]:
+    """Slices over range(count) of _CHUNK_FLOATS // floats_per_item items each (at least one)."""
+    size = max(1, _CHUNK_FLOATS // floats_per_item)
+    return (slice(start, start + size) for start in range(0, count, size))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

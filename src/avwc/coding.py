@@ -6,13 +6,14 @@ output-word index to message index or erasure, which makes decoding sets
 disjoint by representation.
 
 Every exact evaluation runs on one kernel, ``output_law`` (p(y^n | j) for all
-codewords at once): ``sequence_table`` applies it at every state sequence and
-the one-sequence functions are front-ends over it.  Leakage, I(J; Z^n) with J
-uniform, is ``information.mi_batch`` on those laws; it is never estimated
-by sampling because sampled mutual-information estimates are biased, so
-oversized instances are refused instead.  Typicality decoding and the
-secrecy-event check test all codewords in one ``cond_typical_mask`` call
-per channel.
+codewords and a batch of channel stacks at once): ``sequence_table`` applies
+it to chunks of state sequences under the working-memory budget of
+``channels.chunks``, and the one-sequence functions are front-ends over it.
+Leakage, I(J; Z^n) with J uniform, is ``information.mi_batch`` on those laws;
+it is never estimated by sampling because sampled mutual-information
+estimates are biased, so oversized instances are refused instead.
+Typicality decoding tests all codewords in one ``cond_typical_mask`` call per
+channel; the secrecy-event check walks the typical inputs in chunks.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .channels import (
     Distribution,
     StateSequence,
     check_enumeration,
+    chunks,
     iid_extension,
     index_to_word,
     mixture_channel,
-    product_rows_matrix,
     sequence_symbols,
     word_matrix,
 )
@@ -42,10 +43,12 @@ from .typicality import (
     TypicalityParams,
     cond_typical_mask,
     typical_mask,
+    typical_rows,
     typicality_slack,
 )
 
 ERASURE = -1
+TIE_TOL = 1e-12  # values this close to the maximum tie; the first in lexicographic order wins
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,35 +135,37 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 def output_law(codewords: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """p(y^n | j), averaged over l, as a (J, |B|^n) array in lexicographic output order.
+    """p(y^n | j), averaged over l, as a (..., J, |B|^n) array in lexicographic output order.
 
-    ``codewords`` is a (J, L, n) array and ``channels`` an (n, |A|, |B|)
-    stack whose entry i acts at position i.  All J*L codewords advance
-    together: position i multiplies every partial law by the row its
-    codeword selects.
+    ``codewords`` is a (J, L, n) array and ``channels`` an (..., n, |A|, |B|)
+    stack whose entry i acts at position i; leading axes are a batch of
+    stacks.  All J*L codewords and all stacks advance together: position i
+    multiplies every partial law by the row its codeword selects.
     """
     j_count, l_count, n = codewords.shape
     words = codewords.reshape(j_count * l_count, n)
-    law = np.ones((len(words), 1))
+    batch = channels.shape[:-3]
+    rows = channels[..., np.arange(n), words, :]  # (..., J*L, n, |B|): the row each position selects
+    law = np.ones(batch + (len(words), 1))
     for i in range(n):
-        law = (law[:, :, None] * channels[i][words[:, i]][:, None, :]).reshape(len(words), -1)
-    return law.reshape(j_count, l_count, -1).mean(axis=1)
+        law = (law[..., None] * rows[..., i, None, :]).reshape(batch + (len(words), -1))
+    return law.reshape(batch + (j_count, l_count, -1)).mean(axis=-2)
 
 
 def message_success(law: np.ndarray, decoder: np.ndarray) -> np.ndarray:
-    """p(decoder(Y^n) = j | j) for every message j, from the (J, |B|^n) output law."""
-    hits = np.flatnonzero(decoder != ERASURE)
-    return np.bincount(decoder[hits], weights=law[decoder[hits], hits], minlength=len(law))
+    """p(decoder(Y^n) = j | j) per message j, from a (..., J, |B|^n) law and a (..., |B|^n) decoder."""
+    hits = decoder[..., None, :] == np.arange(law.shape[-2])[:, None]  # one-hot, (..., J, |B|^n)
+    return (law * hits).sum(axis=-1)
 
 
-def _error(code: WiretapCode, channels: np.ndarray) -> float:
-    """1 - (1/J) sum_j p(decoder(Y^n) = j | j)."""
-    return 1.0 - float(message_success(output_law(code.codewords, channels), code.decoder).mean())
+def _error(code: WiretapCode, channels: np.ndarray) -> np.ndarray:
+    """1 - (1/J) sum_j p(decoder(Y^n) = j | j) for each stack in the batch."""
+    return 1.0 - message_success(output_law(code.codewords, channels), code.decoder).mean(axis=-1)
 
 
-def _leakage(code: WiretapCode, channels: np.ndarray) -> float:
+def _leakage(code: WiretapCode, channels: np.ndarray) -> np.ndarray:
     uniform = np.full(code.j_count, 1.0 / code.j_count)
-    return float(mi_batch(uniform, output_law(code.codewords, channels)))
+    return mi_batch(uniform, output_law(code.codewords, channels))
 
 
 def _sequence_channels(stack: np.ndarray, code: WiretapCode, s, state_count: int) -> np.ndarray:
@@ -180,22 +185,22 @@ def _mixture_channels(
 
 def error_probability(code: WiretapCode, avwc: AVWC, s) -> float:
     """Exact average error probability of the code for one state sequence."""
-    return _error(code, _sequence_channels(avwc.main_stack, code, s, avwc.state_count))
+    return float(_error(code, _sequence_channels(avwc.main_stack, code, s, avwc.state_count)))
 
 
 def leakage_bits(code: WiretapCode, avwc: AVWC, s) -> float:
     """Exact I(J; Z^n) in bits for one state sequence, J uniform over messages."""
-    return _leakage(code, _sequence_channels(avwc.eaves_stack, code, s, avwc.state_count))
+    return float(_leakage(code, _sequence_channels(avwc.eaves_stack, code, s, avwc.state_count)))
 
 
 def error_under_product_mixture(code: WiretapCode, avwc: AVWC, q_list: Sequence[Distribution]) -> float:
     """Exact error when position i sees the state-averaged channel for q_list[i]."""
-    return _error(code, _mixture_channels(avwc.main_stack, code, q_list))
+    return float(_error(code, _mixture_channels(avwc.main_stack, code, q_list)))
 
 
 def leakage_under_product_mixture(code: WiretapCode, avwc: AVWC, q_list: Sequence[Distribution]) -> float:
     """Exact I(J; Z^n) when position i sees the state-averaged eavesdropper channel."""
-    return _leakage(code, _mixture_channels(avwc.eaves_stack, code, q_list))
+    return float(_leakage(code, _mixture_channels(avwc.eaves_stack, code, q_list)))
 
 
 def sequence_table(
@@ -203,16 +208,25 @@ def sequence_table(
 ) -> dict[str, np.ndarray]:
     """Error and/or leakage of the code at every state sequence, lexicographic order.
 
-    Each requested objective maps to an (|S|^n,) array.  Working memory is
-    the output law of one sequence, never |S|^n of them.
+    Each requested objective maps to an (|S|^n,) array.  Each chunk of
+    sequences takes one ``output_law`` call per objective, and working memory
+    is the chunk budget of ``channels.chunks``, never |S|^n output laws.
     """
     sequences = word_matrix(avwc.state_count, code.n)
     metrics = {"error": (_error, avwc.main_stack), "leakage": (_leakage, avwc.eaves_stack)}
     table = {}
     for name in objectives:
         metric, stack = metrics[name]
-        table[name] = np.array([metric(code, stack[s]) for s in sequences])
+        table[name] = np.empty(len(sequences))
+        for chunk in chunks(len(sequences), code.j_count * code.l_count * stack.shape[-1] ** code.n):
+            table[name][chunk] = metric(code, stack[sequences[chunk]])
     return table
+
+
+def first_maximum(values: np.ndarray) -> int:
+    """Flat index of the first entry within ``TIE_TOL`` of the maximum (row-major order)."""
+    flat = np.ravel(values)
+    return int(np.flatnonzero(flat >= flat.max() - TIE_TOL)[0])
 
 
 def _sampled_error(code: WiretapCode, avwc: AVWC, symbols, samples: int, seed: int, counter: int) -> float:
@@ -242,7 +256,9 @@ def evaluate_code(
 ) -> EvalReport:
     """Worst-case error and leakage over all state sequences.
 
-    Exhaustive mode enumerates every state sequence and every output word.
+    Exhaustive mode enumerates every state sequence and every output word;
+    the worst sequence is the lexicographically first one whose value lies
+    within ``TIE_TOL`` (1e-12) of the maximum, reported with its own value.
     Sampled mode Monte-Carlo estimates the error only; leakage is exact or
     the call is refused, never sampled.
     """
@@ -277,7 +293,7 @@ def evaluate_code(
     def worst(name: str):
         if name not in table:
             return None, None
-        at = int(np.argmax(table[name]))  # the first maximum: lexicographically smallest
+        at = first_maximum(table[name])
         return float(table[name][at]), sequences[at]
 
     worst_error, worst_error_seq = worst("error")
@@ -300,15 +316,15 @@ def worst_state_search(
 ) -> tuple[StateSequence, float]:
     """Arg max over state sequences of error or leakage.
 
-    Exhaustive mode returns the true maximizer (lexicographically smallest on
-    ties); greedy coordinate ascent from the constant sequences returns a
-    lower bound on the maximum.
+    Exhaustive mode returns the lexicographically first sequence within
+    ``TIE_TOL`` (1e-12) of the maximum, with its value; greedy coordinate
+    ascent from the constant sequences returns a lower bound on the maximum.
     """
     metric: Callable = error_probability if objective == "error" else leakage_bits
     n, s_count = code.n, avwc.state_count
     if mode == "exhaustive":
         values = sequence_table(code, avwc, (objective,))[objective]
-        best = int(np.argmax(values))
+        best = first_maximum(values)
         return StateSequence(index_to_word(best, s_count, n), s_count), float(values[best])
 
     best_symbols, best_val = None, -1.0
@@ -538,7 +554,7 @@ def check_secrecy_events(
         raise ValueError("empty typical set: no pruned distribution exists")
     pruned = iid_extension(design_p, n).probs[in_mask]
     pruned = pruned / pruned.sum()
-    code_index = code.codewords @ avwc.input_size ** np.arange(n - 1, -1, -1)  # (J, L)
+    typical_in = in_words[in_mask]
 
     slack = typicality_slack(tp.delta, avwc.input_size, avwc.eaves_output_size, n)
     per_message = []
@@ -547,16 +563,18 @@ def check_secrecy_events(
     for q_index, v_q in enumerate(avwc.eaves):
         out_entropy = entropy_from_array(design_p.probs @ v_q.rows)
         alpha = 2.0 ** (-n * (out_entropy + slack))
-        # truncated density of every input word: V_q^n(z | x) on its conditionally typical z
-        density = product_rows_matrix([v_q.rows] * n) * cond_typical_mask(v_q, in_words, tp, out_words)
-
-        theta_raw = (pruned[:, None] * density[in_mask]).sum(axis=0)
+        # truncated densities V_q^n(z | x) on the conditionally typical z, one chunk of words at a time
+        theta_raw = np.zeros(len(out_words))
+        for chunk in chunks(len(typical_in), len(out_words)):
+            weighted = pruned[chunk, None] * typical_rows(v_q, typical_in[chunk], tp, out_words)
+            theta_raw = np.vstack([theta_raw, weighted]).sum(axis=0)  # adds row after row, as one sum would
         band = theta_raw >= epsilon * alpha
         theta = theta_raw * band
         theta_masses.append(float(theta.sum()))
         band_supports.append(int(band.sum()))
 
-        avg = (density[code_index].sum(axis=1) / code.l_count) * band  # (J, c^n)
+        density = typical_rows(v_q, code.codewords.reshape(-1, n), tp, out_words)
+        avg = (density.reshape(code.j_count, code.l_count, -1).sum(axis=1) / code.l_count) * band  # (J, c^n)
         lo = (1.0 - epsilon) * theta
         hi = (1.0 + epsilon) * theta
         pad = 1e-12 * (1.0 + theta)

@@ -25,6 +25,7 @@ from .channels import (
     AVWC,
     Distribution,
     check_enumeration,
+    chunks,
     iid_extension,
     sequence_symbols,
     simplex_grid,
@@ -36,6 +37,7 @@ from .coding import (
     ReductionReport,
     WiretapCode,
     error_probability,
+    first_maximum,
     message_success,
     output_law,
     sequence_table,
@@ -447,7 +449,7 @@ def eliminate_randomness(
     payload with that member's decoder.  The report verifies, exactly and for
     every state sequence of the combined length, that the total error is at
     most prefix error plus mean member error, and that the payload leakage is
-    at most the mean member leakage.
+    at most the mean member leakage; ties within 1e-12 go to the first sequence.
     """
     members = list(reduced.members)
     k = len(members)
@@ -489,35 +491,35 @@ def eliminate_randomness(
     # the prefix block is a K-message, L = 1 code whose message is the member index
     prefix_states = word_matrix(avwc.state_count, prefix_len)
     prefix_as_code = prefix.codewords[:, None, :]
-    prefix_success = np.array(
-        [
-            message_success(output_law(prefix_as_code, avwc.main_stack[s]), prefix.decoder)
-            for s in prefix_states
-        ]
+    prefix_success = message_success(
+        output_law(prefix_as_code, avwc.main_stack[prefix_states]), prefix.decoder
     )  # (|S|^prefix_len, K)
-    eaves_prefix_rows = np.stack(
-        [output_law(prefix_as_code, avwc.eaves_stack[s]) for s in prefix_states]
-    )  # (|S|^prefix_len, K, c^prefix_len)
+    eaves_prefix_rows = output_law(prefix_as_code, avwc.eaves_stack[prefix_states])  # (P, K, c^prefix_len)
 
-    # payload: member errors from their tables, eavesdropper laws from the kernel
+    # payload: all K*J member messages in one output_law call per chunk of sequences and channel
     payload_states = word_matrix(avwc.state_count, n)
-    member_err = np.stack([sequence_table(m, avwc, ("error",))["error"] for m in members], axis=1)
-    all_members = member_words.reshape(k * j_count, l_count, n)  # one K*J-message code
+    all_members = member_words.reshape(k * j_count, l_count, n)
+    member_decoders = np.stack([m.decoder for m in members])  # (K, b^n)
     uniform_j = np.full(j_count, 1.0 / j_count)
-    member_leak = np.empty((len(payload_states), k))
+    member_err, member_leak = np.empty((2, len(payload_states), k))
     leak = np.empty((len(prefix_states), len(payload_states)))  # payload leakage per (prefix, payload)
-    for t, s in enumerate(payload_states):
-        cond = output_law(all_members, avwc.eaves_stack[s]).reshape(k, j_count, -1)  # p_i(z^n | j)
-        member_leak[t] = mi_batch(uniform_j, cond)
+    c = avwc.eaves_output_size  # chunks fit the member laws and the (prefix, j, u, z^n) joint
+    width = max(k * j_count * l_count * max(b, c) ** n, len(prefix_states) * j_count * c ** (prefix_len + n))
+    for chunk in chunks(len(payload_states), width):
+        states = payload_states[chunk]
+        main = output_law(all_members, avwc.main_stack[states]).reshape(len(states), k, j_count, -1)
+        member_err[chunk] = 1.0 - message_success(main, member_decoders).mean(axis=-1)
+        cond = output_law(all_members, avwc.eaves_stack[states]).reshape(len(states), k, j_count, -1)
+        member_leak[chunk] = mi_batch(uniform_j, cond)
         # member identity acts as encoder randomness: p(u, z^n | j) = mean_i p_i(u) p_i(z^n | j)
-        joint = np.einsum("piu,ijz->pjuz", eaves_prefix_rows, cond) / k
-        leak[:, t] = mi_batch(uniform_j, joint.reshape(len(prefix_states), j_count, -1))
+        joint = np.einsum("piu,tijz->tpjuz", eaves_prefix_rows, cond) / k
+        leak[:, chunk] = mi_batch(uniform_j, joint.reshape(joint.shape[:3] + (-1,))).T
 
     # every (prefix, payload) pair at once; row-major order is lexicographic
     total = 1.0 - (prefix_success[:, None, :] * (1.0 - member_err)[None, :, :]).mean(axis=2)
     bound = (1.0 - prefix_success).mean(axis=1)[:, None] + member_err.mean(axis=1)[None, :]
-    worst_pre, worst_pay = np.unravel_index(int(np.argmax(total)), total.shape)
-    leak_pre, leak_pay = np.unravel_index(int(np.argmax(leak)), leak.shape)
+    worst_pre, worst_pay = np.unravel_index(first_maximum(total), total.shape)
+    leak_pre, leak_pay = np.unravel_index(first_maximum(leak), leak.shape)
 
     report = EliminationReport(
         prefix_len=prefix_len,

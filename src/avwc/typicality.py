@@ -6,8 +6,8 @@ joint pair frequencies against the channel law the same way.  The slack
 functions feeding the cardinality and pointwise-probability bounds are a
 configuration choice (classical type-counting slack); the verification
 report recomputes every inequality by enumeration and returns raw margins.
-The n-fold word laws are ``channels.iid_extension`` and the rows of
-``product_rows_matrix``; ``cond_typical_mask`` tests a batch of words at once.
+The n-fold word laws are ``channels.iid_extension`` and ``coding.output_law``;
+``cond_typical_mask`` tests a batch of words, and the lemma checks walk them in chunks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .channels import (
     Channel,
     Distribution,
     check_enumeration,
+    chunks,
     iid_extension,
-    product_rows_matrix,
     word_matrix,
 )
 from .information import entropy_from_array, xlog2x
@@ -105,6 +105,13 @@ def cond_typical_set(w: Channel, x_word, tp: TypicalityParams) -> list[tuple[int
     return [tuple(int(v) for v in row) for row in outputs[mask]]
 
 
+def typical_rows(w: Channel, x_words: np.ndarray, tp: TypicalityParams, outputs: np.ndarray) -> np.ndarray:
+    """W^n(y | x) on the y conditionally typical given x, else 0: one row per word of the (m, n) batch."""
+    from .coding import output_law  # coding builds on this module
+    stack = np.broadcast_to(w.rows, (tp.n,) + w.rows.shape)
+    return output_law(x_words[:, None, :], stack) * cond_typical_mask(w, x_words, tp, outputs)
+
+
 @dataclass(frozen=True, eq=False)
 class TypicalityReport:
     n: int
@@ -151,10 +158,14 @@ def verify_typicality_bounds(p: Distribution, w: Channel, tp: TypicalityParams) 
     input_bound = 1.0 - (n + 1) ** a_size * exponent
     input_margin = input_mass - input_bound
 
-    # row x: W^n(y | x) on the y conditionally typical given x
-    typical_probs = product_rows_matrix([w.rows] * n) * cond_typical_mask(w, in_words, tp, out_words)
+    # conditional mass and pointwise maximum, one chunk of input words at a time
+    row_mass, beta_max = np.empty(len(in_words)), 0.0
+    for chunk in chunks(len(in_words), len(out_words)):
+        typical_probs = typical_rows(w, in_words[chunk], tp, out_words)
+        row_mass[chunk] = typical_probs.sum(axis=1)
+        beta_max = max(beta_max, float(typical_probs[in_mask[chunk]].max(initial=0.0)))
     cond_bound = 1.0 - (n + 1) ** (a_size * b_size) * exponent
-    cond_mass_min = min(1.0, float(typical_probs.sum(axis=1).min()))
+    cond_mass_min = min(1.0, float(row_mass.min()))
     cond_margin = cond_mass_min - cond_bound
 
     slack = typicality_slack(tp.delta, a_size, b_size, n)
@@ -166,7 +177,6 @@ def verify_typicality_bounds(p: Distribution, w: Channel, tp: TypicalityParams) 
 
     cond_entropy = float(-p.probs @ np.sum(xlog2x(w.rows), axis=1))
     beta = 2.0 ** (-n * (cond_entropy - slack))
-    beta_max = float(typical_probs[in_mask].max(initial=0.0))
     beta_margin = beta - beta_max
 
     violations = []

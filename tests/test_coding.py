@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -18,13 +19,15 @@ from avwc import (
     chernoff_bound,
     check_secrecy_events,
     decode_rule,
+    eliminate_randomness,
     error_probability,
     error_under_product_mixture,
     evaluate_code,
     leakage_under_product_mixture,
     worst_state_search,
 )
-from avwc.coding import codebook_rates
+from avwc import channels
+from avwc.coding import RandomCode, codebook_rates, sequence_table
 from avwc.typicality import typical_set
 
 
@@ -314,3 +317,48 @@ def test_decode_rule_accepts_custom_mixture_grid():
     for y in range(8):
         if coarse_decoder[y] != ERASURE and fine_decoder[y] != ERASURE:
             assert coarse_decoder[y] == fine_decoder[y]
+
+
+def test_tied_maxima_report_the_lexicographically_first_sequence():
+    """Positions 0 and 2 carry no information about J, so every maximum ties across their states.
+
+    The tied values differ by roundoff only; each check must report the first
+    tied sequence in lexicographic order, with its own value.
+    """
+    family = (Channel.bsc(0.1), Channel.bsc(0.05), Channel.bsc(0.4))
+    avwc = AVWC(main=family, eaves=family)
+    code = make_code([[[0, 0, 0]], [[0, 1, 0]]], 2, 2, decoder=[0, 0, 1, 1, 0, 0, 1, 1])
+    table = sequence_table(code, avwc)
+    for name in ("error", "leakage"):
+        assert np.sum(table[name] >= table[name].max() - 1e-12) == 9  # s[0] and s[2] free
+
+    report = evaluate_code(code, avwc)
+    assert report.worst_state_sequence.symbols == (0, 2, 0)  # the noisiest state at position 1
+    assert report.worst_leakage_sequence.symbols == (0, 1, 0)  # the cleanest state at position 1
+    assert report.worst_state_error == table["error"][6]
+    assert report.worst_leakage_bits == table["leakage"][3]
+    for objective, expected in (("error", (0, 2, 0)), ("leakage", (0, 1, 0))):
+        seq, value = worst_state_search(code, avwc, objective)
+        assert seq.symbols == expected
+        assert value == table[objective][int(np.ravel_multi_index(expected, (3, 3, 3)))]
+
+    # identical members: the prefix state matters for the error only, never for the payload leakage
+    rc = RandomCode(members=[code, code], mu=Distribution.uniform(2), origin="explicit")
+    elim = eliminate_randomness(rc, avwc, prefix_len=1).report
+    assert elim.worst_error_sequence == (2, 0, 2, 0)
+    assert elim.worst_leakage_sequence == (0, 0, 1, 0)
+
+
+def test_secrecy_events_do_not_depend_on_the_chunk_budget(monkeypatch):
+    """One typical input word per chunk gives the very report that whole batches give."""
+    avwc = AVWC(
+        main=(Channel.bsc(0.05), Channel.bsc(0.1)),
+        eaves=(Channel(np.array([[0.6, 0.4, 0.0], [0.1, 0.3, 0.6]])), Channel(np.full((2, 3), 1 / 3))),
+    )
+    code = build_random_codebook(
+        Distribution.uniform(2), avwc, 6, tau=0.05, seed=3, delta=0.3, j_count=2, l_count=3
+    )
+    tp = TypicalityParams(6, 0.3)
+    batched = check_secrecy_events(code, avwc, tp, epsilon=0.2)
+    monkeypatch.setattr(channels, "_CHUNK_FLOATS", 1)
+    assert dataclasses.astuple(check_secrecy_events(code, avwc, tp, epsilon=0.2)) == dataclasses.astuple(batched)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from avwc import (
     search_prefix_code,
     verify_robustification,
 )
-from avwc import pipeline
+from avwc import channels, coding, pipeline
 from avwc.coding import RandomCode, sequence_table
 from avwc.pipeline import PermutationFamily, permute_word, type_class_sequences
 
@@ -429,3 +431,109 @@ def test_reduce_n3_preset(pipeline_avwc, pipeline_code):
     reduced = reduce_random_code(family, pipeline_avwc, k_count="n3", epsilon=0.3, seed=4)
     assert reduced.member_count() == 64
     assert reduced.verification.success
+
+
+@st.composite
+def zero_row_families(draw):
+    """One to three random codes of one shape on a family with exact-zero rows: n <= 5, |S| <= 3."""
+    n, s_count = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    b, c = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    j_count, l_count = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def channel(out):
+        rows = rng.integers(0, 3, size=(2, out)).astype(float)
+        rows[:, 0] += rows.sum(axis=1) == 0
+        return Channel(rows / rows.sum(axis=1, keepdims=True))
+
+    avwc = AVWC(
+        main=tuple(channel(b) for _ in range(s_count)),
+        eaves=tuple(channel(c) for _ in range(s_count)),
+    )
+    codes = []
+    for _ in range(draw(st.integers(1, 3))):
+        decoder = rng.integers(-1, j_count, size=b**n)
+        words = rng.integers(0, 2, size=(j_count, l_count, n))
+        codes.append(make_code(words, 2, b, decoder=np.where(decoder < 0, ERASURE, decoder)))
+    return codes, avwc
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=zero_row_families(), one_per_chunk=st.booleans())
+def test_chunked_tables_equal_per_sequence_evaluation(case, one_per_chunk):
+    """Chunking never changes a value, down to one sequence per chunk."""
+    (code, *_), avwc = case
+    with pytest.MonkeyPatch.context() as mp:
+        if one_per_chunk:
+            mp.setattr(channels, "_CHUNK_FLOATS", 1)
+        table = sequence_table(code, avwc)
+    for row, s in enumerate(itertools.product(range(avwc.state_count), repeat=code.n)):
+        assert abs(table["error"][row] - error_probability(code, avwc, s)) <= 1e-15
+        assert abs(table["leakage"][row] - leakage_bits(code, avwc, s)) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=zero_row_families())
+def test_elimination_member_errors_equal_member_tables(case):
+    """The member errors batched over all K*J messages equal each member's own table."""
+    members, avwc = case
+    batched = []
+    real = pipeline.message_success
+
+    def spy(law, decoder):
+        success = real(law, decoder)
+        if decoder.ndim == 2:  # the stacked member decoders, not the prefix decoder
+            batched.append(success)
+        return success
+
+    rc = RandomCode(members=members, mu=Distribution.uniform(len(members)), origin="explicit")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "message_success", spy)
+        report = eliminate_randomness(rc, avwc, prefix_len=2).report
+    member_err = 1.0 - np.concatenate(batched).mean(axis=-1)  # (|S|^n, K)
+    tables = np.stack([sequence_table(m, avwc, ("error",))["error"] for m in members], axis=1)
+    assert np.max(np.abs(member_err - tables)) <= 1e-15
+    assert abs(report.worst_mean_member_error - tables.mean(axis=1).max()) <= 1e-15
+
+
+def _two_member_family(n):
+    avwc = AVWC(
+        main=(Channel.bsc(0.05), Channel.bsc(0.1)),
+        eaves=(Channel.bsc(0.3), Channel.bsc(0.4)),
+    )
+    rng = np.random.default_rng(n)
+    members = [
+        make_code(rng.integers(0, 2, size=(2, 2, n)), 2, 2, decoder=rng.integers(0, 2, size=2**n))
+        for _ in range(2)
+    ]
+    return RandomCode(members=members, mu=Distribution.uniform(2), origin="explicit"), avwc
+
+
+def test_sequence_table_makes_one_output_law_call_per_chunk(monkeypatch):
+    rc, avwc = _two_member_family(8)
+    chunk = max(1, channels._CHUNK_FLOATS // (2 * 2 * 2**8))  # J * L * |B|^n floats per sequence
+    assert 1 < chunk < 2**8
+    shapes = []
+    real = coding.output_law
+    monkeypatch.setattr(coding, "output_law", lambda cw, ch: shapes.append(ch.shape) or real(cw, ch))
+    sequence_table(rc.members[0], avwc)
+    assert len(shapes) == 2 * math.ceil(2**8 / chunk)  # per objective, not per sequence
+
+
+def test_chunked_checks_stay_within_the_working_memory_budget():
+    """At n = 10 the full law stacks would take 32 MiB (one code) and 64 MiB (two members)."""
+    rc, avwc = _two_member_family(10)
+    assert avwc.state_count**10 * 2 * 2 * 2**10 * 8 > 30 * 2**20
+    prefix = search_prefix_code(avwc, 2, 1)
+    ceiling = 32 * channels._CHUNK_FLOATS * 8  # bytes: a few chunk-sized temporaries, 2 MiB
+    for check in (
+        lambda: sequence_table(rc.members[0], avwc),
+        lambda: eliminate_randomness(rc, avwc, 1, prefix),
+    ):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from avwc import (
     typical_set,
     verify_typicality_bounds,
 )
+from avwc import channels
 from avwc.channels import product_rows_matrix, word_matrix
 from avwc.typicality import cond_typical_mask, typical_mask
 
@@ -149,3 +152,14 @@ def test_batched_cond_mask_and_product_rows_match_plain_loops(case):
             for xi, yi in zip(x.tolist(), y):
                 plain *= rows[xi][yi]
             assert value == plain
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_lemma_check_does_not_depend_on_the_chunk_budget(monkeypatch, n):
+    """One input word per chunk gives the very report that whole batches give."""
+    p = Distribution(np.array([0.4, 0.6]))
+    w = Channel(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+    tp = TypicalityParams(n, 0.3)
+    batched = verify_typicality_bounds(p, w, tp)
+    monkeypatch.setattr(channels, "_CHUNK_FLOATS", 1)
+    assert dataclasses.astuple(verify_typicality_bounds(p, w, tp)) == dataclasses.astuple(batched)
