@@ -13,10 +13,11 @@ all input laws of a batch at once by pairwise Frank-Wolfe with a zoom line
 search, for every state count above one.  The outer maximization over input
 distributions (and auxiliary channel pairs) is not concave; it is attacked
 with a multi-start ascent along vertex directions, all starts advancing
-together, plus a coarse simplex-grid sweep used as a floor.  When the grid
-beats the ascent the difference is reported as ``certified_gap`` instead of
-being hidden.  Negative bound values are reported as computed: a rate below
-zero just means the bound is vacuous.
+together, plus a coarse simplex-grid sweep used as a floor.  The ascent
+starts from the grid's best point, so ``certified_gap`` (the grid's lead over
+the reported value) is zero up to roundoff and certifies nothing.  Negative
+bound values are reported as computed: a rate below zero just means the
+bound is vacuous.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from .structure import test_symmetrisable
 
 _LOG_FLOOR = -1024.0  # stand-in for log2 of an exactly-zero transition
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_COARSE_GRID_DENOMINATOR = 8  # input-law grid step 1/8 for alphabets above three letters
+_FD_STEP = 1e-5  # finite-difference step of the ascent
+_LINE_SEARCH_POINTS = 9  # points of each batched line-search scan
+_FW_TOL = 1e-8  # Frank-Wolfe gap at which an inner minimum stops
+_FW_MAX_ITERS = 500
 
 # An objective maps an (N, dim) array of points to their (N,) values.
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -44,31 +50,27 @@ Objective = Callable[[np.ndarray], np.ndarray]
 class BoundOptions:
     """Optimizer knobs; the defaults target desk-scale instances.
 
-    ``line_search_points`` is the number of points of each batched line-search
-    scan (at least 4 are used).  ``golden_iters`` sets line-search precision:
-    a line search stops once its bracket is no wider than inv_phi**golden_iters
-    of the searched interval, the final bracket of that many golden-section
-    steps.
+    The ascent over input laws starts from the best point of the simplex grid
+    of step 1/``p_grid_denominator`` (1/8 for alphabets above three letters)
+    plus ``starts`` further points, for at most ``ascent_iters`` steps each.
+    ``golden_iters`` sets line-search precision: a line search stops once its
+    bracket is no wider than inv_phi**golden_iters of the searched interval,
+    the final bracket of that many golden-section steps.
 
     For every state count above one, the inner minimum over q starts each
     input law at its best point on the grid of step 1/``q_grid_denominator``
-    and runs pairwise Frank-Wolfe until its gap is at most ``fw_tol``, for at
-    most ``fw_max_iters`` steps.  The outer scan over q of the upper bounds
-    takes the grid of step 1/(``outer_q_points`` - 1), then ``refine_rounds``
-    probe rounds, each at a quarter of the step before.  ``multiletter_bound``
-    halves (two states) or quarters (more) ``q_grid_denominator`` for its grid.
+    and runs pairwise Frank-Wolfe until its gap is at most 1e-8, for at most
+    500 steps.  The outer scan over q of the upper bounds takes the grid of
+    step 1/(``outer_q_points`` - 1), then ``refine_rounds`` probe rounds, each
+    at a quarter of the step before.  ``multiletter_bound`` halves (two
+    states) or quarters (more) ``q_grid_denominator`` for its grid.
     """
 
     starts: int = 32
-    p_grid_denominator: int = 64      # simplex grid step 1/64 while |A| <= 3
-    coarse_grid_denominator: int = 8  # fallback step for larger alphabets
+    p_grid_denominator: int = 64  # simplex grid step 1/64 while |A| <= 3
     ascent_iters: int = 60
-    fd_step: float = 1e-5
-    line_search_points: int = 9
     golden_iters: int = 40
     q_grid_denominator: int = 16
-    fw_tol: float = 1e-8
-    fw_max_iters: int = 500
     outer_q_points: int = 17
     refine_rounds: int = 3
     aux_starts: int = 4
@@ -115,18 +117,16 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
-def _line_max(
-    fn: Callable[[np.ndarray], np.ndarray], rows: int, opts: BoundOptions, iters: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _line_max(fn: Callable[[np.ndarray], np.ndarray], rows: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Maximize ``rows`` functions of t on [0, 1] at once by a bracket zoom.
 
     ``fn`` maps an (rows, m) array of steps to their values, row r holding
-    steps of the r-th function.  Each round scans m = ``line_search_points``
-    points across every bracket and keeps the neighbours of the best one,
-    until no bracket is wider than inv_phi**iters.  The search is exact for
-    unimodal functions.  Returns the best step and value of every row.
+    steps of the r-th function.  Each round scans m = 9 points across every
+    bracket and keeps the neighbours of the best one, until no bracket is
+    wider than inv_phi**iters.  The search is exact for unimodal functions.
+    Returns the best step and value of every row.
     """
-    grid = np.linspace(0.0, 1.0, max(opts.line_search_points, 4))
+    grid = np.linspace(0.0, 1.0, _LINE_SEARCH_POINTS)
     index = np.arange(rows)
     lo, width = np.zeros(rows), np.ones(rows)
     best_t, best_v = np.zeros(rows), np.full(rows, -math.inf)
@@ -173,13 +173,13 @@ def _pairwise_fw_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
     Each step moves mass from the away state (the supported state of largest
     gradient) to the toward state (the smallest), searching over all of the
     away state's mass, so a state can leave the support exactly.  A row stops
-    once its Frank-Wolfe gap is at most ``fw_tol`` or its line search stays at 0.
+    once its Frank-Wolfe gap is at most 1e-8 or its line search stays at 0.
     """
     grid = np.array(list(simplex_grid(stack.shape[0], opts.q_grid_denominator)))
     vals = mi_batch(px[:, None, :], np.tensordot(grid, stack, axes=1))
     q = grid[np.argmin(vals, axis=1)]
     active = np.arange(len(px))
-    for _ in range(opts.fw_max_iters):
+    for _ in range(_FW_MAX_ITERS):
         p, qa = px[active], q[active]
         mixed = np.tensordot(qa, stack, axes=1)  # (R, A, B)
         out = (p[:, None, :] @ mixed)[:, 0]
@@ -190,7 +190,7 @@ def _pairwise_fw_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
         grad = np.einsum("ra,sab,rab->rs", p, stack, log_ratio)
         toward = np.argmin(grad, axis=1)
         away = np.argmax(np.where(qa > 0.0, grad, -math.inf), axis=1)
-        keep = np.sum(grad * qa, axis=1) - grad[np.arange(len(active)), toward] > opts.fw_tol
+        keep = np.sum(grad * qa, axis=1) - grad[np.arange(len(active)), toward] > _FW_TOL
         active, p, mixed, toward, away = active[keep], p[keep], mixed[keep], toward[keep], away[keep]
         if not active.size:
             break
@@ -201,7 +201,7 @@ def _pairwise_fw_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
             trial = mixed[:, None] + ts[..., None, None] * direction[:, None]
             return -mi_batch(p[:, None, :], trial)
 
-        t, _ = _line_max(along, len(active), opts, opts.golden_iters)
+        t, _ = _line_max(along, len(active), opts.golden_iters)
         keep = t > 0.0
         active, toward, away, step = active[keep], toward[keep], away[keep], (t * mass)[keep]
         if not active.size:
@@ -241,7 +241,7 @@ def _ascend(
     value = fn(x)
     iters = np.zeros(count, dtype=int)
     active = np.arange(count)
-    h = opts.fd_step
+    h = _FD_STEP
     eye = np.eye(dim)
     for _ in range(iters_cap):
         if not active.size:
@@ -273,7 +273,7 @@ def _ascend(
             trial = xa[:, None] + ts[..., None] * direction[:, None]
             return fn(trial.reshape(-1, dim)).reshape(ts.shape)
 
-        t, new_value = _line_max(along, len(active), opts, opts.golden_iters)
+        t, new_value = _line_max(along, len(active), opts.golden_iters)
         up = np.flatnonzero(new_value > value[active] + 1e-12)
         active = active[up]
         moved = np.maximum(xa[up] + t[up, None] * direction[up], 0.0)
@@ -290,7 +290,7 @@ def maximize_over_simplex(
 
     ``fn`` maps an (N, dim) array of input laws to their N values.
     """
-    denom = opts.p_grid_denominator if dim <= 3 else opts.coarse_grid_denominator
+    denom = opts.p_grid_denominator if dim <= 3 else _COARSE_GRID_DENOMINATOR
     grid = np.array(list(simplex_grid(dim, denom))).reshape(-1, dim)
     starts = _default_starts(dim, opts.starts, opts.seed)
     grid_best, grid_arg = -math.inf, None

@@ -1,8 +1,7 @@
 """Finite-alphabet probability and channel algebra.
 
 Alphabets are index sets 0..k-1 throughout; symbol labels live only in the
-CLI layer.  All probabilities are kept in linear scale; log-scale accessors
-are provided where useful.  Words and state sequences are enumerated in
+CLI layer.  All probabilities are kept in linear scale.  Words and state sequences are enumerated in
 lexicographic order with the first position most significant, and that order
 is part of the contract between modules.
 """
@@ -133,15 +132,6 @@ class Channel:
     def output_size(self) -> int:
         return int(self.rows.shape[1])
 
-    def row(self, x: int) -> np.ndarray:
-        return self.rows[x]
-
-    def apply(self, p: Distribution) -> Distribution:
-        """Output distribution pW."""
-        if p.support_size != self.input_size:
-            raise ValueError("input distribution does not match channel input size")
-        return Distribution(p.probs @ self.rows)
-
     def compose(self, other: "Channel") -> "Channel":
         """Cascade: this channel followed by ``other``."""
         if self.output_size != other.input_size:
@@ -217,12 +207,6 @@ class AVWC:
     def eaves_stack(self) -> np.ndarray:
         return _freeze(np.stack([ch.rows for ch in self.eaves]))
 
-    def main_mixture(self, q: Distribution) -> Channel:
-        return mixture_channel(list(self.main), q)
-
-    def eaves_mixture(self, q: Distribution) -> Channel:
-        return mixture_channel(list(self.eaves), q)
-
 
 @dataclass(frozen=True)
 class StateSequence:
@@ -242,16 +226,6 @@ class StateSequence:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    @classmethod
-    def constant(cls, state: int, length: int, state_count: int) -> "StateSequence":
-        return cls((state,) * length, state_count)
-
-    @classmethod
-    def all_sequences(cls, state_count: int, length: int) -> Iterator["StateSequence"]:
-        check_enumeration(state_count**length, "state sequence enumeration")
-        for symbols in itertools.product(range(state_count), repeat=length):
-            yield cls(symbols, state_count)
 
 
 def sequence_symbols(s, state_count: int | None = None) -> tuple[int, ...]:

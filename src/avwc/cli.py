@@ -181,13 +181,19 @@ def cmd_code(args) -> dict:
     avwc = spec.avwc
     results: dict = {"tag": f"code-{args.subaction}"}
 
-    # announce the enumeration sizes before any heavy work starts
-    if args.subaction in ("build", "verify-lemmas"):
-        block_length = args.n
+    # load the staged input file once, then announce the enumeration sizes
+    # before any heavy work starts
+    if args.subaction in ("evaluate", "robustify", "reduce"):
+        code = _load_code(args)
+        block_length = code.n
     elif args.subaction == "eliminate":
-        block_length = args.prefix_len + _peek_block_length(args)
+        if not args.reduced:
+            raise SpecFormatError("'eliminate' needs --reduced with a random-code file")
+        with open(args.reduced, "r", encoding="utf-8") as handle:
+            reduced = parse_random_code(handle.read())
+        block_length = args.prefix_len + reduced.members[0].n
     else:
-        block_length = _peek_block_length(args)
+        block_length = args.n
     sizes = _estimate_sizes(spec, block_length)
     print(
         "size estimate: " + ", ".join(f"{key}={value}" for key, value in sizes.items()),
@@ -208,7 +214,6 @@ def cmd_code(args) -> dict:
         return results
 
     if args.subaction == "evaluate":
-        code = _load_code(args)
         report = evaluate_code(
             code, avwc, mode=args.mode, seed=args.seed or 0, keep_table=bool(args.table)
         )
@@ -226,7 +231,6 @@ def cmd_code(args) -> dict:
         return results
 
     if args.subaction == "robustify":
-        code = _load_code(args)
         family = robustify(code, avwc)
         report = verify_robustification(code, avwc)
         results["family_size"] = family.member_count()
@@ -237,7 +241,6 @@ def cmd_code(args) -> dict:
         return results
 
     if args.subaction == "reduce":
-        code = _load_code(args)
         family = robustify(code, avwc)
         reduced = reduce_random_code(
             family, avwc, k_count=args.k, epsilon=args.epsilon, seed=args.seed or 0
@@ -255,10 +258,6 @@ def cmd_code(args) -> dict:
         return results
 
     if args.subaction == "eliminate":
-        if not args.reduced:
-            raise SpecFormatError("'eliminate' needs --reduced with a random-code file")
-        with open(args.reduced, "r", encoding="utf-8") as handle:
-            reduced = parse_random_code(handle.read())
         outcome = eliminate_randomness(reduced, avwc, args.prefix_len)
         rep = outcome.report
         results["prefix_len"] = rep.prefix_len
@@ -329,17 +328,6 @@ def _load_code(args, optional: bool = False):
         return parse_code(handle.read())
 
 
-def _peek_block_length(args) -> int:
-    """Block length of the staged input file, or the --n default when absent."""
-    if getattr(args, "reduced", None):
-        with open(args.reduced, "r", encoding="utf-8") as handle:
-            return parse_random_code(handle.read()).members[0].n
-    if getattr(args, "code", None):
-        with open(args.code, "r", encoding="utf-8") as handle:
-            return parse_code(handle.read()).n
-    return args.n
-
-
 def _default_probe_code(avwc, n: int, tp: TypicalityParams):
     """Tiny two-message probe code used when verify-lemmas gets no --code."""
     from dataclasses import replace
@@ -375,15 +363,19 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count or grid denominator, which must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag that must be at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,11 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="secrecy-capacity bounds")
     p_bounds.add_argument("spec")
-    p_bounds.add_argument("--grid", type=_positive_int, default=None, help="simplex grid denominator")
-    p_bounds.add_argument("--starts", type=_positive_int, default=None, help="ascent multi-start count")
-    p_bounds.add_argument("--u-size", dest="u_size", type=int, default=None)
-    p_bounds.add_argument("--n", type=int, default=0, help="also evaluate the n-letter bound")
-    p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=int, default=None)
+    p_bounds.add_argument("--grid", type=_int_at_least(1), default=None, help="simplex grid denominator")
+    p_bounds.add_argument("--starts", type=_int_at_least(1), default=None, help="ascent multi-start count")
+    p_bounds.add_argument("--u-size", dest="u_size", type=_int_at_least(1), default=None)
+    p_bounds.add_argument(
+        "--n", type=_int_at_least(0), default=0, help="also evaluate the n-letter bound (0 skips it)"
+    )
+    p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=_int_at_least(1), default=None)
     p_bounds.add_argument("--seed", type=int, default=None)
     p_bounds.add_argument("--format", choices=("json", "text"), default="text")
     p_bounds.set_defaults(handler=cmd_bounds)
@@ -418,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "subaction",
         choices=("build", "evaluate", "robustify", "reduce", "eliminate", "verify-lemmas"),
     )
-    p_code.add_argument("--n", type=int, default=4)
+    p_code.add_argument("--n", type=_int_at_least(1), default=4)
     p_code.add_argument("--tau", type=float, default=0.1)
     p_code.add_argument("--delta", type=float, default=0.2)
     p_code.add_argument("--seed", type=int, default=0)
@@ -428,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--out", default=None, help="write the resulting code here")
     p_code.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_code.add_argument("--table", default=None, help="write per-sequence metrics as CSV")
-    p_code.add_argument("--k", type=int, default=None, help="reduced family size")
+    p_code.add_argument("--k", type=_int_at_least(1), default=None, help="reduced family size")
     p_code.add_argument("--epsilon", type=float, default=0.25)
-    p_code.add_argument("--prefix-len", dest="prefix_len", type=int, default=4)
+    p_code.add_argument("--prefix-len", dest="prefix_len", type=_int_at_least(0), default=4)
     p_code.add_argument("--secrecy-events", dest="secrecy_events", action="store_true")
     p_code.add_argument("--format", choices=("json", "text"), default="text")
     p_code.set_defaults(handler=cmd_code)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class WiretapCode:
     @property
     def l_count(self) -> int:
         return int(self.codewords.shape[1])
-
-    def decoding_set(self, j: int) -> np.ndarray:
-        """Output-word indices decoded to message j."""
-        return np.nonzero(self.decoder == j)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,12 +277,12 @@ def evaluate_code(
 
     exact = {"error": want_error and mode == "exhaustive", "leakage": want_leakage}
     table = sequence_table(code, avwc, [name for name, wanted in exact.items() if wanted])
-    sequences = list(StateSequence.all_sequences(s_count, n))
+    words = word_matrix(s_count, n)
     if want_error and mode == "sampled":
         table["error"] = np.array(
             [
-                _sampled_error(code, avwc, seq.symbols, samples, seed, counter)
-                for counter, seq in enumerate(sequences)
+                _sampled_error(code, avwc, symbols, samples, seed, counter)
+                for counter, symbols in enumerate(words.tolist())
             ]
         )
 
@@ -294,59 +290,36 @@ def evaluate_code(
         if name not in table:
             return None, None
         at = first_maximum(table[name])
-        return float(table[name][at]), sequences[at]
+        return float(table[name][at]), StateSequence(index_to_word(at, s_count, n), s_count)
 
     worst_error, worst_error_seq = worst("error")
     worst_leak, worst_leak_seq = worst("leakage")
-    columns = [table[name].tolist() if name in table else [None] * len(sequences) for name in exact]
+    per_sequence = None
+    if keep_table:
+        sequences = [StateSequence(symbols, s_count) for symbols in words.tolist()]
+        columns = [table[name].tolist() if name in table else [None] * len(words) for name in exact]
+        per_sequence = tuple(zip(sequences, *columns))
     return EvalReport(
         worst_state_error=worst_error,
         worst_state_sequence=worst_error_seq,
         worst_leakage_bits=worst_leak,
         worst_leakage_sequence=worst_leak_seq,
-        per_sequence=tuple(zip(sequences, *columns)) if keep_table else None,
+        per_sequence=per_sequence,
     )
 
 
 def worst_state_search(
-    code: WiretapCode,
-    avwc: AVWC,
-    objective: Literal["error", "leakage"] = "error",
-    mode: Literal["exhaustive", "greedy"] = "exhaustive",
+    code: WiretapCode, avwc: AVWC, objective: Literal["error", "leakage"] = "error"
 ) -> tuple[StateSequence, float]:
-    """Arg max over state sequences of error or leakage.
+    """Arg max over state sequences of error or leakage, by exhaustive enumeration.
 
-    Exhaustive mode returns the lexicographically first sequence within
-    ``TIE_TOL`` (1e-12) of the maximum, with its value; greedy coordinate
-    ascent from the constant sequences returns a lower bound on the maximum.
+    Returns the lexicographically first sequence within ``TIE_TOL`` (1e-12)
+    of the maximum, with its value.
     """
-    metric: Callable = error_probability if objective == "error" else leakage_bits
     n, s_count = code.n, avwc.state_count
-    if mode == "exhaustive":
-        values = sequence_table(code, avwc, (objective,))[objective]
-        best = first_maximum(values)
-        return StateSequence(index_to_word(best, s_count, n), s_count), float(values[best])
-
-    best_symbols, best_val = None, -1.0
-    for start_state in range(s_count):
-        symbols = [start_state] * n
-        val = metric(code, avwc, StateSequence(tuple(symbols), s_count))
-        improved = True
-        while improved:
-            improved = False
-            for pos in range(n):
-                for state in range(s_count):
-                    if state == symbols[pos]:
-                        continue
-                    trial = symbols.copy()
-                    trial[pos] = state
-                    trial_val = metric(code, avwc, StateSequence(tuple(trial), s_count))
-                    if trial_val > val + 1e-15:
-                        symbols, val = trial, trial_val
-                        improved = True
-        if val > best_val:
-            best_symbols, best_val = symbols, val
-    return StateSequence(tuple(best_symbols), s_count), best_val
+    values = sequence_table(code, avwc, (objective,))[objective]
+    best = first_maximum(values)
+    return StateSequence(index_to_word(best, s_count, n), s_count), float(values[best])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Small dense linear feasibility kernel.
 
-Finds x with A x = b, optionally under x >= 0, via a phase-1 simplex with
+Finds x >= 0 with A x = b via a phase-1 simplex with
 Bland's anti-cycling rule.  The systems solved here are tiny (at most a few
 dozen variables), so dense double-precision arithmetic with a deterministic
 pivoting order is the whole story: robustness and reproducibility over speed.
@@ -20,11 +20,10 @@ _PIVOT_EPS = 1e-11
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Equality system A x = b; ``nonneg`` constrains all variables to x >= 0."""
+    """Equality system A x = b over nonnegative variables x >= 0."""
 
     a: np.ndarray
     b: np.ndarray
-    nonneg: bool = True
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -114,13 +113,6 @@ def solve_feasibility(system: LinearSystem, tol: float = DEFAULT_TOL) -> Feasibi
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not system.nonneg:
-        x, *_ = np.linalg.lstsq(system.a, system.b, rcond=None)
-        residual = float(np.max(np.abs(system.a @ x - system.b)))
-        if residual <= tol:
-            return FeasibilityResult(True, x, residual, 0.0)
-        return FeasibilityResult(False, None, residual, residual)
-
     objective, x, residual = _phase1(system.a, system.b, tol)
     if objective <= tol:
         if residual > 10.0 * tol:

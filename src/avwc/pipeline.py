@@ -45,6 +45,8 @@ from .coding import (
 from .errors import PrefixSearchFailureError, ReductionFailureError
 from .information import mi_batch
 
+_SUBSET_CAP = 200_000  # most prefix-codeword subsets scored exhaustively
+
 
 def permute_word(word: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
     """Positional shuffle: entry i of the result is word[sigma[i]]."""
@@ -253,8 +255,8 @@ def reduce_random_code(
     to ``retry_cap`` times before giving up with diagnostics.
 
     ``k_count`` may be an explicit integer, "bound" (default: the sampling
-    bound), "n3" (cubic-in-blocklength preset), or "all" (keep every member
-    exactly once, no sampling; requires a uniform selection law).
+    bound), or "all" (keep every member exactly once, no sampling; requires
+    a uniform selection law).
     """
     members = rc.members
     if len(members) == 0:
@@ -263,8 +265,6 @@ def reduce_random_code(
     full_sample = False
     if k_count is None or k_count == "bound":
         k = reduction_count(sample_n, avwc.input_size, avwc.state_count, epsilon)
-    elif k_count == "n3":
-        k = sample_n**3
     elif k_count == "all":
         if not np.allclose(rc.mu.probs, 1.0 / len(members), atol=1e-12):
             raise ValueError("the 'all' preset needs a uniformly selected family")
@@ -357,16 +357,14 @@ def _constant_composition_pool(length: int, alphabet: int, minimum: int) -> list
     return pool
 
 
-def search_prefix_code(
-    avwc: AVWC, k_count: int, prefix_len: int, subset_cap: int = 200_000
-) -> PrefixCode:
+def search_prefix_code(avwc: AVWC, k_count: int, prefix_len: int) -> PrefixCode:
     """Deterministic K-codeword prefix code over the main channel family.
 
     Codewords come from a constant-composition pool (most balanced
     compositions first); subsets are scored by minimum pairwise Hamming
-    distance with total distance as tie break, exhaustively when small and
-    greedily otherwise.  Decoding is maximum likelihood under the uniform
-    state mixture.
+    distance with total distance as tie break, exhaustively when there are at
+    most 200000 subsets and greedily otherwise.  Decoding is maximum
+    likelihood under the uniform state mixture.
     """
     a = avwc.input_size
     if k_count > a**prefix_len:
@@ -386,7 +384,7 @@ def search_prefix_code(
 
     best_words = None
     best_score = (-1, -1)
-    if math.comb(len(pool), k_count) <= subset_cap:
+    if math.comb(len(pool), k_count) <= _SUBSET_CAP:
         for subset in itertools.combinations(pool, k_count):
             sc = score(subset)
             if sc > best_score:

@@ -89,7 +89,7 @@ def test_symmetrisable(main: Sequence[Channel], tol: float = DEFAULT_TOL) -> Sym
                 rows.append(row)
                 rhs.append(0.0)
 
-    result = solve_feasibility(LinearSystem(np.array(rows), np.array(rhs), nonneg=True), tol)
+    result = solve_feasibility(LinearSystem(np.array(rows), np.array(rhs)), tol)
     if not result.feasible:
         margin = result.infeasibility_margin
         return SymmetrisabilityReport(
@@ -143,7 +143,7 @@ def test_degraded(v_base: Channel, v_other: Channel, tol: float = DEFAULT_TOL) -
             rows.append(row)
             rhs.append(float(v_other.rows[x, z_to]))
 
-    result = solve_feasibility(LinearSystem(np.array(rows), np.array(rhs), nonneg=True), tol)
+    result = solve_feasibility(LinearSystem(np.array(rows), np.array(rhs)), tol)
     if not result.feasible:
         return DegradednessReport(
             degraded=False,
@@ -157,35 +157,23 @@ def test_degraded(v_base: Channel, v_other: Channel, tol: float = DEFAULT_TOL) -
     return DegradednessReport(degraded=True, d_witness=Channel(d_rows), residual=residual, margin=0.0)
 
 
-def find_best_eaves_channel(
-    eaves: Sequence[Channel],
-    tol: float = DEFAULT_TOL,
-    extra_candidates: Sequence[Distribution] = (),
-) -> BestChannelReport:
+def find_best_eaves_channel(eaves: Sequence[Channel], tol: float = DEFAULT_TOL) -> BestChannelReport:
     """Search for a mixture weight q* whose channel degrades every family member.
 
     For a finite family it suffices to try point masses, in state order; the
-    first success wins.  ``extra_candidates`` lets callers probe additional
-    mixture weights for exploratory use.
+    first success wins.
     """
     if len(eaves) == 0:
         raise ValueError("eaves family must be nonempty")
     s_size = len(eaves)
-    candidates = [Distribution.point_mass(s_size, s) for s in range(s_size)]
-    candidates.extend(extra_candidates)
-
     best_reports: tuple[DegradednessReport, ...] = ()
     best_score = -1
-    for tried, q in enumerate(candidates, start=1):
-        base_rows = np.zeros_like(eaves[0].rows)
-        for weight, ch in zip(q.probs, eaves):
-            base_rows += weight * ch.rows
-        base = Channel(base_rows)
-        reports = tuple(test_degraded(base, ch, tol) for ch in eaves)
+    for s in range(s_size):
+        reports = tuple(test_degraded(eaves[s], ch, tol) for ch in eaves)
         score = sum(1 for r in reports if r.degraded)
         if score == s_size:
-            return BestChannelReport(True, q, reports, tried)
+            return BestChannelReport(True, Distribution.point_mass(s_size, s), reports, s + 1)
         if score > best_score:
             best_score = score
             best_reports = reports
-    return BestChannelReport(False, None, best_reports, len(candidates))
+    return BestChannelReport(False, None, best_reports, s_size)

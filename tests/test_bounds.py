@@ -187,7 +187,7 @@ class TestBatchedOptimizers:
             p1 = starts + ts * (1.0 - starts)
             return mi_batch(np.stack([1.0 - p1, p1], axis=-1), bsc)
 
-        t, v = _line_max(along, 3, BoundOptions(), iters)
+        t, v = _line_max(along, 3, iters)
         assert np.all(np.abs(t - peaks) <= INV_PHI**iters)
         assert v == pytest.approx(np.full(3, 1.0 - binary_entropy(0.1)), abs=INV_PHI**iters)
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from avwc import cli
 from avwc.cli import main
 from avwc.codefile import parse_code, parse_random_code, serialize_code, serialize_random_code
 from avwc.specfile import load_spec, parse_spec, serialize_spec
@@ -98,6 +99,19 @@ class TestCodeFile:
         assert np.array_equal(again.members[0].codewords, member.codewords)
 
 
+@pytest.fixture(scope="module")
+def staged_files(tmp_path_factory):
+    """A code file built at n = 4 and the random-code file reduced from it."""
+    folder = tmp_path_factory.mktemp("staged")
+    code_path, reduced_path = str(folder / "code.txt"), str(folder / "reduced.txt")
+    spec = sample("degraded_pair.avwc")
+    assert main(["code", spec, "build", "--n", "4", "--tau", "0.05", "--delta", "0.3", "--seed", "6",
+                 "--out", code_path]) == 0
+    assert main(["code", spec, "reduce", "--code", code_path, "--k", "8", "--epsilon", "0.4",
+                 "--seed", "5", "--out", reduced_path]) == 0
+    return code_path, reduced_path
+
+
 class TestCommands:
     def test_structure_adder(self, capsys):
         code, out, err = run(capsys, "structure", sample("adder.avwc"), "--format", "json")
@@ -145,6 +159,50 @@ class TestCommands:
             main(["bounds", sample("single_bsc.avwc"), flag, value])
         assert exited.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, minimum",
+        [
+            (("bounds", "single_bsc.avwc", "--n", "-1"), 0),
+            (("bounds", "single_bsc.avwc", "--u-size", "0"), 1),
+            (("code", "degraded_pair.avwc", "build", "--n", "-2"), 1),
+            (("code", "degraded_pair.avwc", "eliminate", "--prefix-len", "-1"), 0),
+            (("code", "degraded_pair.avwc", "reduce", "--k", "0"), 1),
+        ],
+        ids=["bounds-n", "bounds-u-size", "build-n", "eliminate-prefix-len", "reduce-k"],
+    )
+    def test_integer_flags_below_their_minimum_are_usage_errors(self, capsys, argv, minimum):
+        command, spec, *flags = argv
+        with pytest.raises(SystemExit) as exited:
+            main([command, sample(spec), *flags])
+        assert exited.value.code == 2
+        assert f"must be at least {minimum}, got {flags[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subaction, parser",
+        [("evaluate", "parse_code"), ("robustify", "parse_code"), ("reduce", "parse_code"),
+         ("eliminate", "parse_random_code")],
+    )
+    def test_code_subactions_parse_their_input_file_once(
+        self, capsys, monkeypatch, staged_files, subaction, parser
+    ):
+        code_path, reduced_path = staged_files
+        calls = []
+        for name in ("parse_code", "parse_random_code"):
+
+            def spy(text, real=getattr(cli, name), name=name):
+                calls.append(name)
+                return real(text)
+
+            monkeypatch.setattr(cli, name, spy)
+        if subaction == "eliminate":
+            flags = ["--reduced", reduced_path, "--prefix-len", "5"]
+        else:
+            flags = ["--code", code_path, "--k", "8", "--epsilon", "0.4", "--seed", "5"]
+        code, _, err = run(capsys, "code", sample("degraded_pair.avwc"), subaction, *flags)
+        assert code == 0
+        assert calls == [parser]
+        assert f"block_length={5 + 4 if subaction == 'eliminate' else 4}," in err
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.avwc"

@@ -180,7 +180,7 @@ class TestWorstStateSearch:
     def test_single_state(self):
         avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
         code = make_code([[[0, 0]], [[1, 1]]], 2, 2, decoder=[0, ERASURE, ERASURE, 1])
-        seq, value = worst_state_search(code, avwc, "error", "exhaustive")
+        seq, value = worst_state_search(code, avwc, "error")
         assert seq.symbols == (0, 0)
 
     def test_noisy_state_dominates(self):
@@ -190,15 +190,8 @@ class TestWorstStateSearch:
         )
         code = make_code([[[0, 0, 0]], [[1, 1, 1]]], 2, 2)
         code = replace(code, decoder=decode_rule(code, avwc, TypicalityParams(3, 0.34)))
-        seq, _ = worst_state_search(code, avwc, "error", "exhaustive")
+        seq, _ = worst_state_search(code, avwc, "error")
         assert seq.symbols == (1, 1, 1)
-
-    def test_greedy_lower_bounds_exhaustive(self, repetition_code_avwc):
-        code, avwc = repetition_code_avwc
-        for objective in ("error", "leakage"):
-            _, exact = worst_state_search(code, avwc, objective, "exhaustive")
-            _, greedy = worst_state_search(code, avwc, objective, "greedy")
-            assert greedy <= exact + 1e-12
 
 
 class TestMixtureDominance:

@@ -426,13 +426,6 @@ def test_reduce_all_preset_keeps_family_means(pipeline_avwc):
         assert reduced_mean == pytest.approx(family_mean, abs=1e-15)
 
 
-def test_reduce_n3_preset(pipeline_avwc, pipeline_code):
-    family = robustify(pipeline_code, pipeline_avwc)
-    reduced = reduce_random_code(family, pipeline_avwc, k_count="n3", epsilon=0.3, seed=4)
-    assert reduced.member_count() == 64
-    assert reduced.verification.success
-
-
 @st.composite
 def zero_row_families(draw):
     """One to three random codes of one shape on a family with exact-zero rows: n <= 5, |S| <= 3."""

@@ -101,14 +101,6 @@ class TestBestEavesChannel:
             assert abs(grid_max - state_max) <= 1e-6
             assert at_star >= grid_max - 1e-6
 
-    def test_user_supplied_candidates(self):
-        family = [Channel.bsc(0.1), Channel.bsc(0.3)]
-        report = find_best_eaves_channel(
-            family, 1e-8, extra_candidates=[Distribution(np.array([0.5, 0.5]))]
-        )
-        assert report.exists  # the point mass still wins first
-        assert np.allclose(report.q_star.probs, [1.0, 0.0])
-
 
 def test_marginal_flag_near_tolerance_boundary():
     """Margins landing just above the tolerance are flagged as borderline."""
