@@ -45,7 +45,6 @@ from .coding import (
     evaluate_code,
     leakage_bits,
     leakage_under_product_mixture,
-    worst_state_search,
 )
 from .errors import (
     AvwcError,

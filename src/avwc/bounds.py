@@ -514,18 +514,17 @@ def multiletter_bound(
     n: int,
     u_size: int | None = None,
     opts: BoundOptions | None = None,
-    per_letter: bool = False,
 ) -> BoundResult:
     """Per-use value of the length-n auxiliary bound.
 
     Evaluates (1/n) max over U -> X^n of
     [min_q I(U;Y^n_q) - max_q I(U;Z^n_q)] where Y^n_q, Z^n_q are the n-fold
-    products of the mixture channels with one shared q per letter; with
-    ``per_letter=True`` the products range over independently chosen per-letter
-    weights drawn from the same grid.  Both inner extremes run over a coarse
-    grid of q: the minimum over a sub-grid is never below the true minimum
-    and the maximum never above the true maximum, so the reported value never
-    understates the objective's maximum over U.
+    products of the mixture channels with one shared q per letter.  Both
+    inner extremes run over a coarse grid of q: the minimum over a sub-grid
+    is never below the true minimum and the maximum never above the true
+    maximum, so the reported value never understates the objective's maximum
+    over U.  ``inner_argmin_q`` is the shared q that minimizes the legitimate
+    receiver's term at the final auxiliary pair.
     """
     opts = opts or BoundOptions()
     if n < 1:
@@ -546,30 +545,23 @@ def multiletter_bound(
     q_points = list(simplex_grid(s_size, denom))
 
     def products(points: Sequence[np.ndarray], stack: np.ndarray) -> np.ndarray:
-        singles = [np.tensordot(q, stack, axes=1) for q in points]
-        if not per_letter:
-            return np.stack([product_rows_matrix([rows] * n) for rows in singles])
-        combos = itertools.product(singles, repeat=n)
-        return np.stack([product_rows_matrix(list(combo)) for combo in combos])
+        return np.stack([product_rows_matrix([np.tensordot(q, stack, axes=1)] * n) for q in points])
 
     value, pair, route1 = _max_aux_gap(
         products(q_points, wstack), products(q_points, vstack), input_count, u_size, opts
     )
 
-    # the shared q that minimizes the legitimate receiver's term at the final pair
-    q_min = None
-    if not per_letter or s_size == 1:
-        def y_at(qs: np.ndarray) -> np.ndarray:
-            return mi_batch(pair.p_u.probs, pair.x_given_u.rows @ products(list(qs), wstack))
+    def y_at(qs: np.ndarray) -> np.ndarray:
+        return mi_batch(pair.p_u.probs, pair.x_given_u.rows @ products(list(qs), wstack))
 
-        _, q_min, _ = _scan_min_over_q(y_at, s_size, opts)
+    _, q_min, _ = _scan_min_over_q(y_at, s_size, opts)
 
     return BoundResult(
         value=value / n,
         argmax_p=pair.induced_input(),
-        inner_argmin_q=Distribution(q_min) if q_min is not None else None,
+        inner_argmin_q=Distribution(q_min),
         inner_argmax_state=None,
-        optimizer_trace=({"stage": "multi-letter", "n": n, "q_points": len(q_points), "per_letter": per_letter},),
+        optimizer_trace=({"stage": "multi-letter", "n": n, "q_points": len(q_points)},),
         certified_gap=max(0.0, (route1 - value) / n),
         aux=pair,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -215,7 +216,7 @@ def cmd_code(args) -> dict:
 
     if args.subaction == "evaluate":
         report = evaluate_code(
-            code, avwc, mode=args.mode, seed=args.seed or 0, keep_table=bool(args.table)
+            code, avwc, mode=args.mode, seed=args.seed, keep_table=bool(args.table)
         )
         results["worst_state_error"] = report.worst_state_error
         results["worst_error_sequence"] = list(report.worst_state_sequence.symbols)
@@ -243,7 +244,7 @@ def cmd_code(args) -> dict:
     if args.subaction == "reduce":
         family = robustify(code, avwc)
         reduced = reduce_random_code(
-            family, avwc, k_count=args.k, epsilon=args.epsilon, seed=args.seed or 0
+            family, avwc, k_count=args.k, epsilon=args.epsilon, seed=args.seed
         )
         ver = reduced.verification
         results["k_count"] = ver.k_count
@@ -378,6 +379,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a float flag that must be positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avwc",
@@ -402,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_int_at_least(0), default=0, help="also evaluate the n-letter bound (0 skips it)"
     )
     p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=_int_at_least(1), default=None)
-    p_bounds.add_argument("--seed", type=int, default=None)
+    p_bounds.add_argument("--seed", type=_int_at_least(0), default=None)
     p_bounds.add_argument("--format", choices=("json", "text"), default="text")
     p_bounds.set_defaults(handler=cmd_bounds)
 
@@ -413,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("build", "evaluate", "robustify", "reduce", "eliminate", "verify-lemmas"),
     )
     p_code.add_argument("--n", type=_int_at_least(1), default=4)
-    p_code.add_argument("--tau", type=float, default=0.1)
-    p_code.add_argument("--delta", type=float, default=0.2)
-    p_code.add_argument("--seed", type=int, default=0)
+    p_code.add_argument("--tau", type=_positive_float, default=0.1)
+    p_code.add_argument("--delta", type=_positive_float, default=0.2)
+    p_code.add_argument("--seed", type=_int_at_least(0), default=0)
     p_code.add_argument("--p", default=None, help="named input distribution from the spec file")
     p_code.add_argument("--code", default=None, help="code file produced by 'build'")
     p_code.add_argument("--reduced", default=None, help="random-code file produced by 'reduce'")
@@ -423,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_code.add_argument("--table", default=None, help="write per-sequence metrics as CSV")
     p_code.add_argument("--k", type=_int_at_least(1), default=None, help="reduced family size")
-    p_code.add_argument("--epsilon", type=float, default=0.25)
+    p_code.add_argument("--epsilon", type=_positive_float, default=0.25)
     p_code.add_argument("--prefix-len", dest="prefix_len", type=_int_at_least(0), default=4)
     p_code.add_argument("--secrecy-events", dest="secrecy_events", action="store_true")
     p_code.add_argument("--format", choices=("json", "text"), default="text")

@@ -2,15 +2,16 @@
 
 Codewords are written as digit strings over the input alphabet (sizes up to
 36 use 0-9a-z) and the decoder as an assignment list over all output words in
-lexicographic order, ``-`` marking erasure.  The formats are binary-free so
-pipeline stages can be chained between CLI invocations and inspected by hand.
+lexicographic order, ``-`` marking erasure.  A random code selects its
+members uniformly, so its ``weights`` line always reads ``weights uniform``.
+The formats are binary-free so pipeline stages can be chained between CLI
+invocations and inspected by hand.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import Distribution
 from .coding import ERASURE, RandomCode, WiretapCode
 from .errors import SpecFormatError
 
@@ -152,11 +153,8 @@ def serialize_random_code(rc: RandomCode) -> str:
         f"avwc-random-code {CODE_FORMAT_VERSION}",
         f"member_count {count}",
         f"origin {rc.origin}",
+        "weights uniform",
     ]
-    if np.allclose(rc.mu.probs, 1.0 / count, atol=1e-15):
-        lines.append("weights uniform")
-    else:
-        lines.append("weights " + " ".join(repr(float(v)) for v in rc.mu.probs))
     for i in range(count):
         lines.append(f"member {i}")
         lines.append(serialize_code(rc.members[i]).rstrip("\n"))
@@ -189,15 +187,8 @@ def parse_random_code(text: str) -> RandomCode:
     if origin not in ("permutation-family", "reduced", "explicit"):
         raise SpecFormatError(f"unknown origin {origin!r}", line_no)
     line_no, content = take()
-    tokens = content.split()
-    if tokens[0] != "weights":
-        raise SpecFormatError("expected 'weights'", line_no)
-    if tokens[1:] == ["uniform"]:
-        mu = Distribution.uniform(count)
-    else:
-        if len(tokens) != count + 1:
-            raise SpecFormatError(f"expected {count} weights", line_no)
-        mu = Distribution(np.asarray([float(t) for t in tokens[1:]]))
+    if content.split() != ["weights", "uniform"]:
+        raise SpecFormatError("expected 'weights uniform': random codes select members uniformly", line_no)
 
     members = []
     for i in range(count):
@@ -208,4 +199,4 @@ def parse_random_code(text: str) -> RandomCode:
         members.append(code)
     if pos != len(lines):
         raise SpecFormatError("trailing content after members", lines[pos][0])
-    return RandomCode(members=members, mu=mu, origin=origin)
+    return RandomCode(members=members, origin=origin)

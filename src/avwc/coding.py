@@ -102,16 +102,15 @@ class ReductionReport:
 
 @dataclass(frozen=True, eq=False)
 class RandomCode:
-    """Family of wiretap codes with a selection distribution."""
+    """Family of wiretap codes, each member selected with probability 1/len(members).
+
+    Both random codes of the construction are uniform: robustification picks
+    one of the n! permutations and reduction one of K drawn members.
+    """
 
     members: Sequence[WiretapCode]
-    mu: Distribution
     origin: Literal["permutation-family", "reduced", "explicit"]
     verification: ReductionReport | None = None
-
-    def __post_init__(self):
-        if len(self.members) != self.mu.support_size:
-            raise ValueError("selection distribution length must match the member count")
 
     def member_count(self) -> int:
         return len(self.members)
@@ -308,20 +307,6 @@ def evaluate_code(
     )
 
 
-def worst_state_search(
-    code: WiretapCode, avwc: AVWC, objective: Literal["error", "leakage"] = "error"
-) -> tuple[StateSequence, float]:
-    """Arg max over state sequences of error or leakage, by exhaustive enumeration.
-
-    Returns the lexicographically first sequence within ``TIE_TOL`` (1e-12)
-    of the maximum, with its value.
-    """
-    n, s_count = code.n, avwc.state_count
-    values = sequence_table(code, avwc, (objective,))[objective]
-    best = first_maximum(values)
-    return StateSequence(index_to_word(best, s_count, n), s_count), float(values[best])
-
-
 # ---------------------------------------------------------------------------
 # random codebooks
 # ---------------------------------------------------------------------------
@@ -366,7 +351,6 @@ def build_random_codebook(
     tau: float,
     seed: int,
     delta: float = 0.2,
-    q_grid: Sequence[Distribution] | None = None,
     j_count: int | None = None,
     l_count: int | None = None,
 ) -> WiretapCode:
@@ -420,33 +404,23 @@ def build_random_codebook(
         design_p=p,
         design_delta=delta,
     )
-    decoder = decode_rule(code, avwc, tp, q_grid=q_grid)
+    decoder = decode_rule(code, avwc, tp)
     return replace(code, decoder=decoder)
 
 
-def default_q_grid(state_count: int) -> list[Distribution]:
-    """Point masses on each state plus the uniform mixture."""
-    grid = [Distribution.point_mass(state_count, s) for s in range(state_count)]
-    if state_count > 1:
-        grid.append(Distribution.uniform(state_count))
-    return grid
-
-
-def decode_rule(
-    code: WiretapCode,
-    avwc: AVWC,
-    tp: TypicalityParams,
-    q_grid: Sequence[Distribution] | None = None,
-) -> np.ndarray:
+def decode_rule(code: WiretapCode, avwc: AVWC, tp: TypicalityParams) -> np.ndarray:
     """Typicality decoding assignment.
 
     An output word belongs to message j when it is conditionally typical for
-    some codeword of j under some state-averaged main channel from the grid,
-    and for no other message; ambiguous or untypical words are erased.
+    some codeword of j under some state-averaged main channel from the grid
+    (each state's channel, plus the uniform mixture when |S| > 1), and for no
+    other message; ambiguous or untypical words are erased.
     """
     if tp.n != code.n:
         raise ValueError("typicality parameters built for a different block length")
-    grid = list(q_grid) if q_grid is not None else default_q_grid(avwc.state_count)
+    grid = [Distribution.point_mass(avwc.state_count, s) for s in range(avwc.state_count)]
+    if avwc.state_count > 1:
+        grid.append(Distribution.uniform(avwc.state_count))
     outputs = word_matrix(code.output_size, code.n)
     check_enumeration(len(outputs) * code.j_count * code.l_count * len(grid), "typicality decoding")
     words = code.codewords.reshape(-1, code.n)

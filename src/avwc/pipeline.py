@@ -46,6 +46,7 @@ from .errors import PrefixSearchFailureError, ReductionFailureError
 from .information import mi_batch
 
 _SUBSET_CAP = 200_000  # most prefix-codeword subsets scored exhaustively
+_RETRY_CAP = 20  # fresh draws a reduction tries before it fails
 
 
 def permute_word(word: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
@@ -115,10 +116,8 @@ def robustify(code: WiretapCode, avwc: AVWC) -> RandomCode:
     """Uniformly selected permutation family of the code, members materialized lazily."""
     if avwc.input_size != code.input_size or avwc.main_output_size != code.output_size:
         raise ValueError("code alphabets do not match the channel family")
-    factorial = math.factorial(code.n)
-    check_enumeration(factorial, "permutation family")
-    family = PermutationFamily(code)
-    return RandomCode(members=family, mu=Distribution.uniform(factorial), origin="permutation-family")
+    check_enumeration(math.factorial(code.n), "permutation family")
+    return RandomCode(members=PermutationFamily(code), origin="permutation-family")
 
 
 def type_class_sequences(s, state_count: int) -> list[tuple[int, ...]]:
@@ -169,25 +168,20 @@ class RobustificationReport:
         return self.min_slack >= -1e-12
 
 
-def verify_robustification(
-    code: WiretapCode, avwc: AVWC, q_set: Sequence[Distribution] | None = None
-) -> RobustificationReport:
+def verify_robustification(code: WiretapCode, avwc: AVWC) -> RobustificationReport:
     """Exact check of the permutation-averaging inequality for every state sequence.
 
     gamma is the worst shortfall of the code's expected success under the
-    i.i.d. extensions of the supplied weight vectors (state types of length n
-    by default); each group-averaged success must then reach
-    1 - 3 (n+1)^{|S|} gamma.
+    i.i.d. extensions of the state types of length n; each group-averaged
+    success must then reach 1 - 3 (n+1)^{|S|} gamma.
     """
     n, s_count = code.n, avwc.state_count
     check_enumeration(s_count**n, "robustification verification")
     sequences = word_matrix(s_count, n)
     success = 1.0 - sequence_table(code, avwc, ("error",))["error"]
 
-    if q_set is None:
-        q_set = [Distribution(p) for p in simplex_grid(s_count, n)]
     gamma = 0.0
-    for q in q_set:
+    for q in (Distribution(p) for p in simplex_grid(s_count, n)):
         gamma = max(gamma, 1.0 - float(iid_extension(q, n).probs @ success))
 
     coefficient = 3.0 * (n + 1) ** s_count
@@ -242,54 +236,38 @@ def _member_tables(members: Sequence[WiretapCode], avwc: AVWC):
 def reduce_random_code(
     rc: RandomCode,
     avwc: AVWC,
-    k_count: int | str | None = None,
+    k_count: int | None = None,
     epsilon: float = 0.25,
     seed: int = 0,
-    retry_cap: int = 20,
 ) -> RandomCode:
-    """Draw K member codes i.i.d. from the selection law and verify the means.
+    """Draw K member codes i.i.d. and uniformly from the family and verify the means.
 
     The reduced family must satisfy, for every state sequence, mean error and
     mean leakage at most epsilon; verification is exhaustive and attached to
     the returned code.  On failure the draw is retried with fresh counters up
-    to ``retry_cap`` times before giving up with diagnostics.
-
-    ``k_count`` may be an explicit integer, "bound" (default: the sampling
-    bound), or "all" (keep every member exactly once, no sampling; requires
-    a uniform selection law).
+    to ``_RETRY_CAP`` (20) times before giving up with diagnostics.
+    ``k_count`` defaults to the sampling bound ``reduction_count``.  The i-th
+    pick of a draw is member floor(r * len(members)) for the i-th uniform r
+    of the attempt's Philox stream, so no selection law over the n!
+    permutation members is ever built.
     """
     members = rc.members
-    if len(members) == 0:
+    count = len(members)
+    if count == 0:
         raise ValueError("random code has no members")
     sample_n = members[0].n
-    full_sample = False
-    if k_count is None or k_count == "bound":
+    k = k_count
+    if k is None:
         k = reduction_count(sample_n, avwc.input_size, avwc.state_count, epsilon)
-    elif k_count == "all":
-        if not np.allclose(rc.mu.probs, 1.0 / len(members), atol=1e-12):
-            raise ValueError("the 'all' preset needs a uniformly selected family")
-        k = len(members)
-        full_sample = True
-    elif isinstance(k_count, int):
-        k = k_count
-    else:
-        raise ValueError(f"unknown k_count preset {k_count!r}")
     if k < 1:
         raise ValueError("k_count must be at least 1")
-    if retry_cap < 1:
-        raise ValueError("retry_cap must be at least 1")
 
     check_enumeration(avwc.state_count**sample_n, "reduction verification")
     member_table = _member_tables(members, avwc)
-    cdf = np.cumsum(rc.mu.probs)
-    cdf[-1] = 1.0
     best = None
-    for attempt in range(1 if full_sample else retry_cap):
-        if full_sample:
-            picks = list(range(k))
-        else:
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, attempt, 0]))
-            picks = [int(np.searchsorted(cdf, rng.random(), side="right")) for _ in range(k)]
+    for attempt in range(_RETRY_CAP):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, attempt, 0]))
+        picks = [int(rng.random() * count) for _ in range(k)]
         tables = [member_table(index) for index in picks]
         mean_err = np.mean([table["error"] for table in tables], axis=0)
         mean_leak = np.mean([table["leakage"] for table in tables], axis=0)
@@ -307,18 +285,13 @@ def reduce_random_code(
                 worst_mean_leakage=worst_leak,
             )
             chosen = [members[i] for i in picks]
-            return RandomCode(
-                members=chosen,
-                mu=Distribution.uniform(k),
-                origin="reduced",
-                verification=report,
-            )
+            return RandomCode(members=chosen, origin="reduced", verification=report)
     raise ReductionFailureError(
-        f"no draw of {k} members met epsilon={epsilon!r} within {retry_cap} attempts",
+        f"no draw of {k} members met epsilon={epsilon!r} within {_RETRY_CAP} attempts",
         diagnostics={
             "best_worst_mean_error": best[0],
             "best_worst_mean_leakage": best[1],
-            "attempts": retry_cap,
+            "attempts": _RETRY_CAP,
             "estimated_failure_probability": 1.0,
         },
     )
@@ -332,14 +305,6 @@ def reduce_random_code(
 class PrefixCode:
     codewords: np.ndarray  # (K, prefix_len)
     decoder: np.ndarray  # (output_size**prefix_len,) member index
-
-    @property
-    def k_count(self) -> int:
-        return int(self.codewords.shape[0])
-
-    @property
-    def length(self) -> int:
-        return int(self.codewords.shape[1])
 
 
 def _constant_composition_pool(length: int, alphabet: int, minimum: int) -> list[tuple[int, ...]]:
@@ -434,12 +399,7 @@ class EliminationResult:
     report: EliminationReport
 
 
-def eliminate_randomness(
-    reduced: RandomCode,
-    avwc: AVWC,
-    prefix_len: int,
-    prefix_code: PrefixCode | None = None,
-) -> EliminationResult:
+def eliminate_randomness(reduced: RandomCode, avwc: AVWC, prefix_len: int) -> EliminationResult:
     """Concatenate a member-identifying prefix with each member code.
 
     The returned deterministic code transmits (member index, payload) pairs;
@@ -453,16 +413,12 @@ def eliminate_randomness(
     k = len(members)
     if k == 0:
         raise ValueError("reduced code has no members")
-    if not np.allclose(reduced.mu.probs, 1.0 / k, atol=1e-12):
-        raise ValueError("elimination requires a uniformly selected family")
     base = members[0]
     for m in members:
         if (m.n, m.j_count, m.l_count) != (base.n, base.j_count, base.l_count):
             raise ValueError("members must share block length and code size")
 
-    prefix = prefix_code or search_prefix_code(avwc, k, prefix_len)
-    if prefix.k_count != k or prefix.length != prefix_len:
-        raise ValueError("prefix code shape does not match the member count")
+    prefix = search_prefix_code(avwc, k, prefix_len)
 
     n, j_count, l_count = base.n, base.j_count, base.l_count
     b = avwc.main_output_size

@@ -339,17 +339,6 @@ class TestMultiletter:
             result = multiletter_bound(avwc, n, opts=FAST)
             assert abs(result.value) <= 1e-6
 
-    def test_per_letter_flag_not_above_shared(self):
-        avwc = AVWC(
-            main=(Channel.bsc(0.05), Channel.bsc(0.15)),
-            eaves=(Channel.bsc(0.4), Channel.bsc(0.4)),
-        )
-        small = BoundOptions(starts=4, aux_starts=2, aux_iters=15, q_grid_denominator=8)
-        shared = multiletter_bound(avwc, 2, u_size=5, opts=small)
-        per_letter = multiletter_bound(avwc, 2, u_size=5, opts=small, per_letter=True)
-        # widening the minimization family can only pull the bound down
-        assert per_letter.value <= shared.value + 1e-6
-
 
 def test_multiletter_not_below_lower_bound_three_states():
     """n = 2 on three Z-like states may not understate n times an achievable rate.

@@ -23,6 +23,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def two_copy_random_code():
+    """Random code whose two members are one n = 1, J = 2 code over binary alphabets."""
+    from avwc.coding import RandomCode, WiretapCode
+
+    member = WiretapCode(
+        n=1,
+        input_size=2,
+        output_size=2,
+        codewords=np.array([[[0]], [[1]]]),
+        decoder=np.array([0, 1]),
+    )
+    return RandomCode(members=[member, member], origin="reduced")
+
+
 class TestSpecFile:
     def test_parse_sample(self):
         spec = load_spec(sample("degraded_pair.avwc"))
@@ -82,21 +96,11 @@ class TestCodeFile:
         assert np.array_equal(code.decoder, again.decoder)
 
     def test_random_code_round_trip(self):
-        from avwc.channels import Distribution
-        from avwc.coding import RandomCode, WiretapCode
-
-        member = WiretapCode(
-            n=1,
-            input_size=2,
-            output_size=2,
-            codewords=np.array([[[0]], [[1]]]),
-            decoder=np.array([0, 1]),
-        )
-        rc = RandomCode(members=[member, member], mu=Distribution.uniform(2), origin="reduced")
+        rc = two_copy_random_code()
         again = parse_random_code(serialize_random_code(rc))
         assert again.origin == "reduced"
         assert again.member_count() == 2
-        assert np.array_equal(again.members[0].codewords, member.codewords)
+        assert np.array_equal(again.members[0].codewords, rc.members[0].codewords)
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +172,11 @@ class TestCommands:
             (("code", "degraded_pair.avwc", "build", "--n", "-2"), 1),
             (("code", "degraded_pair.avwc", "eliminate", "--prefix-len", "-1"), 0),
             (("code", "degraded_pair.avwc", "reduce", "--k", "0"), 1),
+            (("bounds", "single_bsc.avwc", "--seed", "-1"), 0),
+            (("code", "single_bsc.avwc", "build", "--n", "3", "--tau", "0.05", "--seed", "-1"), 0),
         ],
-        ids=["bounds-n", "bounds-u-size", "build-n", "eliminate-prefix-len", "reduce-k"],
+        ids=["bounds-n", "bounds-u-size", "build-n", "eliminate-prefix-len", "reduce-k", "bounds-seed",
+             "build-seed"],
     )
     def test_integer_flags_below_their_minimum_are_usage_errors(self, capsys, argv, minimum):
         command, spec, *flags = argv
@@ -177,6 +184,38 @@ class TestCommands:
             main([command, sample(spec), *flags])
         assert exited.value.code == 2
         assert f"must be at least {minimum}, got {flags[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("build", "--n", "3", "--tau", "0.05", "--delta", "-1"),
+            ("build", "--n", "3", "--tau", "0"),
+            ("verify-lemmas", "--n", "3", "--delta", "0"),
+            ("reduce", "--epsilon", "0"),
+            ("reduce", "--epsilon", "nan"),
+        ],
+        ids=["build-delta", "build-tau", "verify-lemmas-delta", "reduce-epsilon", "reduce-epsilon-nan"],
+    )
+    def test_float_flags_must_be_positive(self, capsys, flags):
+        # rejected while parsing, before the size estimate and any work
+        with pytest.raises(SystemExit) as exited:
+            main(["code", sample("single_bsc.avwc"), *flags])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be a positive number, got {float(flags[-1])}" in err
+        assert "size estimate" not in err
+
+    def test_weighted_random_code_file_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "weighted.txt"
+        text = serialize_random_code(two_copy_random_code())
+        path.write_text(text.replace("weights uniform", "weights 0.75 0.25"))
+        with pytest.raises(SpecFormatError, match="weights uniform"):
+            parse_random_code(path.read_text())
+        code, _, err = run(
+            capsys, "code", sample("degraded_pair.avwc"), "eliminate", "--reduced", str(path), "--prefix-len", "1"
+        )
+        assert code == 2
+        assert "weights uniform" in err
 
     @pytest.mark.parametrize(
         "subaction, parser",

@@ -24,7 +24,6 @@ from avwc import (
     error_under_product_mixture,
     evaluate_code,
     leakage_under_product_mixture,
-    worst_state_search,
 )
 from avwc import channels
 from avwc.coding import RandomCode, codebook_rates, sequence_table
@@ -180,8 +179,8 @@ class TestWorstStateSearch:
     def test_single_state(self):
         avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
         code = make_code([[[0, 0]], [[1, 1]]], 2, 2, decoder=[0, ERASURE, ERASURE, 1])
-        seq, value = worst_state_search(code, avwc, "error")
-        assert seq.symbols == (0, 0)
+        report = evaluate_code(code, avwc, objectives=("error",))
+        assert report.worst_state_sequence.symbols == (0, 0)
 
     def test_noisy_state_dominates(self):
         avwc = AVWC(
@@ -190,8 +189,8 @@ class TestWorstStateSearch:
         )
         code = make_code([[[0, 0, 0]], [[1, 1, 1]]], 2, 2)
         code = replace(code, decoder=decode_rule(code, avwc, TypicalityParams(3, 0.34)))
-        seq, _ = worst_state_search(code, avwc, "error")
-        assert seq.symbols == (1, 1, 1)
+        report = evaluate_code(code, avwc, objectives=("error",))
+        assert report.worst_state_sequence.symbols == (1, 1, 1)
 
 
 class TestMixtureDominance:
@@ -297,21 +296,6 @@ class TestSecrecyEvents:
             check_secrecy_events(code, avwc, TypicalityParams(2, 0.3))
 
 
-def test_decode_rule_accepts_custom_mixture_grid():
-    avwc = AVWC(
-        main=(Channel.bsc(0.05), Channel.bsc(0.10)),
-        eaves=(Channel.bsc(0.4), Channel.bsc(0.4)),
-    )
-    code = make_code([[[0, 0, 0]], [[1, 1, 1]]], 2, 2)
-    fine = [Distribution(np.array([1 - t, t])) for t in np.linspace(0, 1, 9)]
-    coarse_decoder = decode_rule(code, avwc, TypicalityParams(3, 0.3))
-    fine_decoder = decode_rule(code, avwc, TypicalityParams(3, 0.3), q_grid=fine)
-    # a finer grid can only widen each message's claimed region before exclusion
-    for y in range(8):
-        if coarse_decoder[y] != ERASURE and fine_decoder[y] != ERASURE:
-            assert coarse_decoder[y] == fine_decoder[y]
-
-
 def test_tied_maxima_report_the_lexicographically_first_sequence():
     """Positions 0 and 2 carry no information about J, so every maximum ties across their states.
 
@@ -331,12 +315,16 @@ def test_tied_maxima_report_the_lexicographically_first_sequence():
     assert report.worst_state_error == table["error"][6]
     assert report.worst_leakage_bits == table["leakage"][3]
     for objective, expected in (("error", (0, 2, 0)), ("leakage", (0, 1, 0))):
-        seq, value = worst_state_search(code, avwc, objective)
+        single = evaluate_code(code, avwc, objectives=(objective,))
+        if objective == "error":
+            seq, value = single.worst_state_sequence, single.worst_state_error
+        else:
+            seq, value = single.worst_leakage_sequence, single.worst_leakage_bits
         assert seq.symbols == expected
         assert value == table[objective][int(np.ravel_multi_index(expected, (3, 3, 3)))]
 
     # identical members: the prefix state matters for the error only, never for the payload leakage
-    rc = RandomCode(members=[code, code], mu=Distribution.uniform(2), origin="explicit")
+    rc = RandomCode(members=[code, code], origin="explicit")
     elim = eliminate_randomness(rc, avwc, prefix_len=1).report
     assert elim.worst_error_sequence == (2, 0, 2, 0)
     assert elim.worst_leakage_sequence == (0, 0, 1, 0)

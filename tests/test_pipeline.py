@@ -166,7 +166,7 @@ class TestReduceRandomCode:
         rc_members = [code, code, code]
         from avwc.coding import RandomCode
 
-        rc = RandomCode(members=rc_members, mu=Distribution.uniform(3), origin="explicit")
+        rc = RandomCode(members=rc_members, origin="explicit")
         worst_err = max(
             error_probability(code, pipeline_avwc, s) for s in itertools.product(range(2), repeat=2)
         )
@@ -194,13 +194,6 @@ class TestReduceRandomCode:
             assert mean_err <= 0.25 + 1e-12
             assert mean_leak <= 0.25 + 1e-12
 
-    def test_retry_cap_below_one_is_rejected(self):
-        avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
-        code = make_code([[[0, 0, 0]], [[1, 1, 1]]], 2, 2)
-        family = robustify(code, avwc)
-        with pytest.raises(ValueError, match="retry_cap"):
-            reduce_random_code(family, avwc, k_count=2, epsilon=0.5, retry_cap=0)
-
     def test_gathered_member_tables_match_direct_evaluation(self):
         """A family member's tables read off the base tables equal evaluating the member.
 
@@ -215,9 +208,7 @@ class TestReduceRandomCode:
         )
         code = make_code(rng.integers(0, 2, size=(2, 2, 4)), 2, 2, decoder=rng.integers(-1, 2, size=16))
         family = robustify(code, avwc)
-        explicit = RandomCode(
-            members=list(family.members), mu=Distribution.uniform(len(family.members)), origin="explicit"
-        )
+        explicit = RandomCode(members=list(family.members), origin="explicit")
         for seed in (2, 5, 7):
             gathered = reduce_random_code(family, avwc, k_count=3, epsilon=1.0, seed=seed)
             direct = reduce_random_code(explicit, avwc, k_count=3, epsilon=1.0, seed=seed)
@@ -231,7 +222,7 @@ class TestReduceRandomCode:
     def test_impossible_epsilon_fails_with_diagnostics(self, pipeline_avwc, pipeline_code):
         family = robustify(pipeline_code, pipeline_avwc)
         with pytest.raises(ReductionFailureError) as err:
-            reduce_random_code(family, pipeline_avwc, k_count=4, epsilon=1e-6, seed=1, retry_cap=3)
+            reduce_random_code(family, pipeline_avwc, k_count=4, epsilon=1e-6, seed=1)
         assert "attempts" in err.value.diagnostics
 
     def test_default_count_formula(self):
@@ -260,7 +251,7 @@ class TestEliminateRandomness:
         member = make_code([[[0, 0]], [[1, 1]]], 2, 2, decoder=[0, ERASURE, ERASURE, 1])
         from avwc.coding import RandomCode
 
-        rc = RandomCode(members=[member], mu=Distribution.uniform(1), origin="reduced")
+        rc = RandomCode(members=[member], origin="reduced")
         outcome = eliminate_randomness(rc, avwc, prefix_len=1)
         report = outcome.report
         assert report.worst_prefix_error == 0.0
@@ -279,7 +270,7 @@ class TestEliminateRandomness:
         m2 = make_code([[[0, 1]], [[1, 0]]], 2, 2, decoder=[ERASURE, 0, 1, ERASURE])
         from avwc.coding import RandomCode
 
-        rc = RandomCode(members=[m1, m2], mu=Distribution.uniform(2), origin="reduced")
+        rc = RandomCode(members=[m1, m2], origin="reduced")
         outcome = eliminate_randomness(rc, avwc, prefix_len=1)
         report = outcome.report
         assert report.worst_prefix_error == 0.0
@@ -303,7 +294,7 @@ class TestEliminateRandomness:
         )
         m1 = make_code([[[0, 0], [0, 1]], [[1, 1], [1, 0]]], 2, 2, decoder=[0, 0, 1, 1])
         m2 = make_code([[[0, 1], [1, 1]], [[1, 0], [0, 0]]], 2, 2, decoder=[1, ERASURE, ERASURE, 0])
-        rc = RandomCode(members=[m1, m2], mu=Distribution.uniform(2), origin="reduced")
+        rc = RandomCode(members=[m1, m2], origin="reduced")
         outcome = eliminate_randomness(rc, avwc, prefix_len=2)
         report = outcome.report
         direct = evaluate_code(outcome.code, avwc, objectives=("error",))
@@ -319,18 +310,6 @@ class TestEliminateRandomness:
         assert leak == pytest.approx(report.worst_payload_leakage, abs=1e-12)
         attained = leakage_bits(payload, avwc, report.worst_leakage_sequence)
         assert attained == pytest.approx(report.worst_payload_leakage, abs=1e-12)
-
-    def test_rejects_nonuniform_selection(self, pipeline_avwc, pipeline_code):
-        from avwc.coding import RandomCode
-
-        rc = RandomCode(
-            members=[pipeline_code, pipeline_code],
-            mu=Distribution(np.array([0.75, 0.25])),
-            origin="explicit",
-        )
-        with pytest.raises(ValueError, match="uniformly"):
-            eliminate_randomness(rc, pipeline_avwc, prefix_len=2)
-
 
 def test_type_class_sequences_order():
     seqs = type_class_sequences((1, 0, 0), 2)
@@ -409,23 +388,6 @@ def test_type_averages_never_walk_the_group(monkeypatch, pipeline_avwc, pipeline
         permutation_mean_error(pipeline_code, pipeline_avwc, (0, 1, 1, 0), method="explicit")
 
 
-def test_reduce_all_preset_keeps_family_means(pipeline_avwc):
-    """Taking every member exactly once reproduces the family averages."""
-    code = make_code([[[0, 0, 0]], [[1, 1, 1]]], 2, 2)
-    code = replace(code, decoder=decode_rule(code, pipeline_avwc, TypicalityParams(3, 0.3)))
-    family = robustify(code, pipeline_avwc)
-    reduced = reduce_random_code(family, pipeline_avwc, k_count="all", epsilon=0.9, seed=0)
-    assert reduced.member_count() == 6
-    for s in itertools.product(range(2), repeat=3):
-        family_mean = np.mean(
-            [error_probability(family.members[i], pipeline_avwc, s) for i in range(6)]
-        )
-        reduced_mean = np.mean(
-            [error_probability(m, pipeline_avwc, s) for m in reduced.members]
-        )
-        assert reduced_mean == pytest.approx(family_mean, abs=1e-15)
-
-
 @st.composite
 def zero_row_families(draw):
     """One to three random codes of one shape on a family with exact-zero rows: n <= 5, |S| <= 3."""
@@ -479,7 +441,7 @@ def test_elimination_member_errors_equal_member_tables(case):
             batched.append(success)
         return success
 
-    rc = RandomCode(members=members, mu=Distribution.uniform(len(members)), origin="explicit")
+    rc = RandomCode(members=members, origin="explicit")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "message_success", spy)
         report = eliminate_randomness(rc, avwc, prefix_len=2).report
@@ -499,7 +461,7 @@ def _two_member_family(n):
         make_code(rng.integers(0, 2, size=(2, 2, n)), 2, 2, decoder=rng.integers(0, 2, size=2**n))
         for _ in range(2)
     ]
-    return RandomCode(members=members, mu=Distribution.uniform(2), origin="explicit"), avwc
+    return RandomCode(members=members, origin="explicit"), avwc
 
 
 def test_sequence_table_makes_one_output_law_call_per_chunk(monkeypatch):
@@ -513,15 +475,28 @@ def test_sequence_table_makes_one_output_law_call_per_chunk(monkeypatch):
     assert len(shapes) == 2 * math.ceil(2**8 / chunk)  # per objective, not per sequence
 
 
+def test_robustify_keeps_the_uniform_law_implicit():
+    """At n = 10 an explicit law over the 10! members would take 28 MiB."""
+    avwc = AVWC(main=(Channel.bsc(0.1), Channel.bsc(0.2)), eaves=(Channel.bsc(0.3), Channel.bsc(0.4)))
+    code = make_code(np.zeros((2, 2, 10)), 2, 2)
+    tracemalloc.start()
+    try:
+        family = robustify(code, avwc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.member_count() == math.factorial(10)
+    assert peak < 2**20
+
+
 def test_chunked_checks_stay_within_the_working_memory_budget():
     """At n = 10 the full law stacks would take 32 MiB (one code) and 64 MiB (two members)."""
     rc, avwc = _two_member_family(10)
     assert avwc.state_count**10 * 2 * 2 * 2**10 * 8 > 30 * 2**20
-    prefix = search_prefix_code(avwc, 2, 1)
     ceiling = 32 * channels._CHUNK_FLOATS * 8  # bytes: a few chunk-sized temporaries, 2 MiB
     for check in (
         lambda: sequence_table(rc.members[0], avwc),
-        lambda: eliminate_randomness(rc, avwc, 1, prefix),
+        lambda: eliminate_randomness(rc, avwc, 1),
     ):
         tracemalloc.start()
         try:
