@@ -41,6 +41,8 @@ _FD_STEP = 1e-5  # finite-difference step of the ascent
 _LINE_SEARCH_POINTS = 9  # points of each batched line-search scan
 _FW_TOL = 1e-8  # Frank-Wolfe gap at which an inner minimum stops
 _FW_MAX_ITERS = 500
+# Philox keys lie below 2**128; the auxiliary ascent keys its stream with seed + 1
+MAX_SEED = 2**128 - 2
 
 # An objective maps an (N, dim) array of points to their (N,) values.
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -64,6 +66,9 @@ class BoundOptions:
     step 1/(``outer_q_points`` - 1), then ``refine_rounds`` probe rounds, each
     at a quarter of the step before.  ``multiletter_bound`` halves (two
     states) or quarters (more) ``q_grid_denominator`` for its grid.
+
+    ``seed`` keys the Philox stream of the random starts and ``seed + 1``
+    that of the auxiliary ascent, so it must lie in [0, ``MAX_SEED``].
     """
 
     starts: int = 32
@@ -77,6 +82,10 @@ class BoundOptions:
     aux_iters: int = 50
     structure_tol: float = DEFAULT_TOL
     seed: int = 20240
+
+    def __post_init__(self):
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must be in [0, {MAX_SEED}], got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,8 +532,9 @@ def multiletter_bound(
     inner extremes run over a coarse grid of q: the minimum over a sub-grid
     is never below the true minimum and the maximum never above the true
     maximum, so the reported value never understates the objective's maximum
-    over U.  ``inner_argmin_q`` is the shared q that minimizes the legitimate
-    receiver's term at the final auxiliary pair.
+    over U.  ``inner_argmin_q`` is the grid point q that minimizes the
+    legitimate receiver's term I(U;Y^n_q) at the final auxiliary pair, the
+    minimum the value uses.
     """
     opts = opts or BoundOptions()
     if n < 1:
@@ -547,19 +557,16 @@ def multiletter_bound(
     def products(points: Sequence[np.ndarray], stack: np.ndarray) -> np.ndarray:
         return np.stack([product_rows_matrix([np.tensordot(q, stack, axes=1)] * n) for q in points])
 
+    y_products = products(q_points, wstack)
     value, pair, route1 = _max_aux_gap(
-        products(q_points, wstack), products(q_points, vstack), input_count, u_size, opts
+        y_products, products(q_points, vstack), input_count, u_size, opts
     )
-
-    def y_at(qs: np.ndarray) -> np.ndarray:
-        return mi_batch(pair.p_u.probs, pair.x_given_u.rows @ products(list(qs), wstack))
-
-    _, q_min, _ = _scan_min_over_q(y_at, s_size, opts)
+    y_info = mi_batch(pair.p_u.probs, pair.x_given_u.rows @ y_products)
 
     return BoundResult(
         value=value / n,
         argmax_p=pair.induced_input(),
-        inner_argmin_q=Distribution(q_min),
+        inner_argmin_q=Distribution(q_points[int(np.argmin(y_info))]),
         inner_argmax_state=None,
         optimizer_trace=({"stage": "multi-letter", "n": n, "q_points": len(q_points)},),
         certified_gap=max(0.0, (route1 - value) / n),

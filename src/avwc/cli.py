@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    MAX_SEED,
     BoundOptions,
     avc_capacity,
     multiletter_bound,
@@ -364,8 +365,13 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an integer flag that must be at least ``minimum``."""
+# the code stages key Philox streams with the seed itself, and Philox keys lie below 2**128
+_CODE_MAX_SEED = 2**128 - 1
+
+
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type for an integer flag that must be at least ``minimum``
+    and, if ``maximum`` is given, at most ``maximum``."""
 
     def parse(text: str) -> int:
         try:
@@ -374,6 +380,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_int_at_least(0), default=0, help="also evaluate the n-letter bound (0 skips it)"
     )
     p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=_int_at_least(1), default=None)
-    p_bounds.add_argument("--seed", type=_int_at_least(0), default=None)
+    p_bounds.add_argument("--seed", type=_int_at_least(0, MAX_SEED), default=None)
     p_bounds.add_argument("--format", choices=("json", "text"), default="text")
     p_bounds.set_defaults(handler=cmd_bounds)
 
@@ -427,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--n", type=_int_at_least(1), default=4)
     p_code.add_argument("--tau", type=_positive_float, default=0.1)
     p_code.add_argument("--delta", type=_positive_float, default=0.2)
-    p_code.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_code.add_argument("--seed", type=_int_at_least(0, _CODE_MAX_SEED), default=0)
     p_code.add_argument("--p", default=None, help="named input distribution from the spec file")
     p_code.add_argument("--code", default=None, help="code file produced by 'build'")
     p_code.add_argument("--reduced", default=None, help="random-code file produced by 'reduce'")

@@ -10,6 +10,8 @@ invocations and inspected by hand.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .coding import ERASURE, RandomCode, WiretapCode
@@ -55,7 +57,29 @@ def serialize_code(code: WiretapCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header_value(tokens: list[str], key: str, line_no: int) -> int:
+class _LineReader:
+    """The non-blank lines of a text with ``#`` comments stripped, read in order."""
+
+    def __init__(self, text: str):
+        stripped = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), 1))
+        self.lines = [(i, content) for i, content in stripped if content]
+        self.pos = 0
+
+    def take(self, what: str) -> tuple[int, str]:
+        """The next line as (line number, content); ``what`` names the block for EOF errors."""
+        if self.pos >= len(self.lines):
+            raise SpecFormatError(f"unexpected end of {what}", self.lines[-1][0] if self.lines else 1)
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def expect_end(self, what: str) -> None:
+        if self.pos != len(self.lines):
+            raise SpecFormatError(f"trailing content after {what}", self.lines[self.pos][0])
+
+
+def _read_header_value(lines: _LineReader, key: str, what: str) -> int:
+    line_no, content = lines.take(what)
+    tokens = content.split()
     if len(tokens) != 2 or tokens[0] != key:
         raise SpecFormatError(f"expected '{key} <value>'", line_no)
     try:
@@ -64,28 +88,15 @@ def _parse_header_value(tokens: list[str], key: str, line_no: int) -> int:
         raise SpecFormatError(f"expected an integer for {key}", line_no) from None
 
 
-def _parse_code_block(lines: list[tuple[int, str]], pos: int) -> tuple[WiretapCode, int]:
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise SpecFormatError("unexpected end of code block", lines[-1][0] if lines else 1)
-        item = lines[pos]
-        pos += 1
-        return item
-
+def _parse_code_block(lines: _LineReader) -> WiretapCode:
+    take = partial(lines.take, "code block")
     line_no, content = take()
     if content.split() != ["avwc-code", str(CODE_FORMAT_VERSION)]:
         raise SpecFormatError(f"expected header 'avwc-code {CODE_FORMAT_VERSION}'", line_no)
-    line_no, content = take()
-    n = _parse_header_value(content.split(), "block_length", line_no)
-    line_no, content = take()
-    input_size = _parse_header_value(content.split(), "input_size", line_no)
-    line_no, content = take()
-    output_size = _parse_header_value(content.split(), "output_size", line_no)
-    line_no, content = take()
-    j_count = _parse_header_value(content.split(), "message_count", line_no)
-    line_no, content = take()
-    l_count = _parse_header_value(content.split(), "randomizer_count", line_no)
+    n, input_size, output_size, j_count, l_count = (
+        _read_header_value(lines, key, "code block")
+        for key in ("block_length", "input_size", "output_size", "message_count", "randomizer_count")
+    )
 
     codewords = np.zeros((j_count, l_count, n), dtype=int)
     seen = np.zeros((j_count, l_count), dtype=bool)
@@ -128,22 +139,19 @@ def _parse_code_block(lines: list[tuple[int, str]], pos: int) -> tuple[WiretapCo
     line_no, content = take()
     if content.strip() != "end":
         raise SpecFormatError("expected 'end'", line_no)
-    code = WiretapCode(
+    return WiretapCode(
         n=n,
         input_size=input_size,
         output_size=output_size,
         codewords=codewords,
         decoder=np.asarray(assignment),
     )
-    return code, pos
 
 
 def parse_code(text: str) -> WiretapCode:
-    lines = [(i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), 1)]
-    lines = [(i, s) for i, s in lines if s]
-    code, pos = _parse_code_block(lines, 0)
-    if pos != len(lines):
-        raise SpecFormatError("trailing content after code block", lines[pos][0])
+    lines = _LineReader(text)
+    code = _parse_code_block(lines)
+    lines.expect_end("code block")
     return code
 
 
@@ -162,23 +170,13 @@ def serialize_random_code(rc: RandomCode) -> str:
 
 
 def parse_random_code(text: str) -> RandomCode:
-    lines = [(i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), 1)]
-    lines = [(i, s) for i, s in lines if s]
-    pos = 0
+    lines = _LineReader(text)
 
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise SpecFormatError("unexpected end of random-code file", lines[-1][0] if lines else 1)
-        item = lines[pos]
-        pos += 1
-        return item
-
+    take = partial(lines.take, "random-code file")
     line_no, content = take()
     if content.split() != ["avwc-random-code", str(CODE_FORMAT_VERSION)]:
         raise SpecFormatError(f"expected header 'avwc-random-code {CODE_FORMAT_VERSION}'", line_no)
-    line_no, content = take()
-    count = _parse_header_value(content.split(), "member_count", line_no)
+    count = _read_header_value(lines, "member_count", "random-code file")
     line_no, content = take()
     tokens = content.split()
     if len(tokens) != 2 or tokens[0] != "origin":
@@ -195,8 +193,6 @@ def parse_random_code(text: str) -> RandomCode:
         line_no, content = take()
         if content.split() != ["member", str(i)]:
             raise SpecFormatError(f"expected 'member {i}'", line_no)
-        code, pos = _parse_code_block(lines, pos)
-        members.append(code)
-    if pos != len(lines):
-        raise SpecFormatError("trailing content after members", lines[pos][0])
+        members.append(_parse_code_block(lines))
+    lines.expect_end("members")
     return RandomCode(members=members, origin=origin)

@@ -46,7 +46,7 @@ class FeasibilityResult:
     infeasibility_margin: float
 
 
-def _phase1(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
+def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Minimize the sum of artificials for {A x = b, x >= 0}.
 
     Returns (objective, x, residual-on-original-system).
@@ -65,42 +65,34 @@ def _phase1(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[float, np.ndarray
     tableau[:m, -1] = work_b
     tableau[m, :n] = -work_a.sum(axis=0)
     tableau[m, -1] = -work_b.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     max_iters = 50 * (n + m + 2)
     for _ in range(max_iters):
-        enter = -1
-        for j in range(n + m):
-            if tableau[m, j] < -_PIVOT_EPS:
-                enter = j
-                break
-        if enter < 0:
+        eligible = (tableau[m, :-1] < -_PIVOT_EPS).nonzero()[0]
+        if eligible.size == 0:
             break
+        enter = eligible[0]
         col = tableau[:m, enter]
-        best = None
-        for i in range(m):
-            if col[i] > _PIVOT_EPS:
-                ratio = tableau[i, -1] / col[i]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        rows = (col > _PIVOT_EPS).nonzero()[0]
+        if rows.size == 0:
             raise NumericFailureError("phase-1 simplex became unbounded; degenerate input")
-        row = best[1]
-        pivot = tableau[row, enter]
-        tableau[row] /= pivot
-        for i in range(m + 1):
-            if i != row and tableau[i, enter] != 0.0:
-                tableau[i] -= tableau[i, enter] * tableau[row]
+        ratios = tableau[rows, -1] / col[rows]
+        tied = rows[ratios == ratios.min()]
+        row = tied[basis[tied].argmin()]
+        tableau[row] /= tableau[row, enter]
+        # rows with a zero in the entering column stay untouched, so no zero changes sign
+        others = tableau[:, enter] != 0.0
+        others[row] = False
+        tableau[others] -= tableau[others, enter, None] * tableau[row]
         basis[row] = enter
     else:
         raise NumericFailureError("phase-1 simplex hit the anti-cycling iteration cap")
 
     objective = -tableau[m, -1]
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i, -1]
+    structural = basis < n
+    x[basis[structural]] = tableau[:m, -1][structural]
     residual = float(np.max(np.abs(a @ x - b)))
     return float(objective), x, residual
 
@@ -113,7 +105,7 @@ def solve_feasibility(system: LinearSystem, tol: float = DEFAULT_TOL) -> Feasibi
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    objective, x, residual = _phase1(system.a, system.b, tol)
+    objective, x, residual = _phase1(system.a, system.b)
     if objective <= tol:
         if residual > 10.0 * tol:
             raise NumericFailureError(

@@ -54,44 +54,44 @@ def symmetrisation_residual(main: Sequence[Channel], u_rows: np.ndarray) -> floa
     return float(np.max(np.abs(left - left.transpose(1, 0, 2))))
 
 
+def _solve_row_stochastic(
+    shape: tuple[int, int], coef: np.ndarray, rhs: np.ndarray, tol: float
+) -> tuple[np.ndarray | None, float]:
+    """Find a row-stochastic matrix M of ``shape`` with ``coef @ M.ravel() = rhs``.
+
+    Returns the solver's witness clamped at zero and renormalised, with
+    margin 0.0, or None with the phase-1 infeasibility margin.
+    """
+    rows, cols = shape
+    unit_rows = np.repeat(np.eye(rows), cols, axis=1)
+    system = LinearSystem(np.vstack([unit_rows, coef]), np.concatenate([np.ones(rows), rhs]))
+    result = solve_feasibility(system, tol)
+    if not result.feasible:
+        return None, result.infeasibility_margin
+    witness = np.maximum(result.witness.reshape(shape), 0.0)
+    return witness / witness.sum(axis=1, keepdims=True), 0.0
+
+
 def test_symmetrisable(main: Sequence[Channel], tol: float = DEFAULT_TOL) -> SymmetrisabilityReport:
     """Decide whether some U: A -> P(S) symmetrises the state-averaged main channel.
 
     Feasibility variables are U(s|x) >= 0 with unit row sums plus, for every
-    input pair x < x' and output y, equality of the two cross-averaged
-    transition probabilities.
+    input pair x < x' and output y, the equality
+    sum_s W_s(y|x) U(s|x') - W_s(y|x') U(s|x) = 0.
     """
     if len(main) == 0:
         raise ValueError("main family must be nonempty")
-    a_size = main[0].input_size
-    b_size = main[0].output_size
-    s_size = len(main)
-    stack = np.stack([ch.rows for ch in main])
-
-    def var(x: int, s: int) -> int:
-        return x * s_size + s
-
-    n_vars = a_size * s_size
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for x in range(a_size):
-        row = np.zeros(n_vars)
-        row[var(x, 0) : var(x, 0) + s_size] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for x in range(a_size):
-        for xp in range(x + 1, a_size):
-            for y in range(b_size):
-                row = np.zeros(n_vars)
-                for s in range(s_size):
-                    row[var(xp, s)] += stack[s, x, y]
-                    row[var(x, s)] -= stack[s, xp, y]
-                rows.append(row)
-                rhs.append(0.0)
-
-    result = solve_feasibility(LinearSystem(np.array(rows), np.array(rhs)), tol)
-    if not result.feasible:
-        margin = result.infeasibility_margin
+    by_input = np.stack([ch.rows for ch in main], axis=1)  # (A, S, B)
+    a_size, s_size, b_size = by_input.shape
+    xs, xps = np.nonzero(np.less.outer(np.arange(a_size), np.arange(a_size)))
+    pairs = np.arange(len(xs))
+    # coef[pair, x'', s, y] is the coefficient of U(s|x'') in the (pair, y) row
+    coef = np.zeros((len(xs), a_size, s_size, b_size))
+    coef[pairs, xps] = by_input[xs]
+    coef[pairs, xs] -= by_input[xps]  # 0.0 - 0.0 keeps zero coefficients +0.0
+    coef = coef.transpose(0, 3, 1, 2).reshape(len(xs) * b_size, a_size * s_size)
+    u_rows, margin = _solve_row_stochastic((a_size, s_size), coef, np.zeros(len(coef)), tol)
+    if u_rows is None:
         return SymmetrisabilityReport(
             symmetrisable=False,
             u_witness=None,
@@ -100,15 +100,12 @@ def test_symmetrisable(main: Sequence[Channel], tol: float = DEFAULT_TOL) -> Sym
             residual=None,
             marginal=tol < margin < _MARGINAL_FACTOR * tol,
         )
-    u_rows = np.maximum(result.witness.reshape(a_size, s_size), 0.0)
-    u_rows = u_rows / u_rows.sum(axis=1, keepdims=True)
-    residual = symmetrisation_residual(main, u_rows)
     return SymmetrisabilityReport(
         symmetrisable=True,
         u_witness=Channel(u_rows),
-        margin=0.0,
+        margin=margin,
         tol=tol,
-        residual=residual,
+        residual=symmetrisation_residual(main, u_rows),
         marginal=False,
     )
 
@@ -121,40 +118,13 @@ def test_degraded(v_base: Channel, v_other: Channel, tol: float = DEFAULT_TOL) -
     """Decide whether ``v_other`` factors as ``v_base`` followed by a stochastic map."""
     if v_base.input_size != v_other.input_size:
         raise ValueError("degradedness test requires equal input sizes")
-    zb = v_base.output_size
-    zo = v_other.output_size
-
-    def var(z_from: int, z_to: int) -> int:
-        return z_from * zo + z_to
-
-    n_vars = zb * zo
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for z_from in range(zb):
-        row = np.zeros(n_vars)
-        row[var(z_from, 0) : var(z_from, 0) + zo] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for x in range(v_base.input_size):
-        for z_to in range(zo):
-            row = np.zeros(n_vars)
-            for z_from in range(zb):
-                row[var(z_from, z_to)] = v_base.rows[x, z_from]
-            rows.append(row)
-            rhs.append(float(v_other.rows[x, z_to]))
-
-    result = solve_feasibility(LinearSystem(np.array(rows), np.array(rhs)), tol)
-    if not result.feasible:
-        return DegradednessReport(
-            degraded=False,
-            d_witness=None,
-            residual=result.infeasibility_margin,
-            margin=result.infeasibility_margin,
-        )
-    d_rows = np.maximum(result.witness.reshape(zb, zo), 0.0)
-    d_rows = d_rows / d_rows.sum(axis=1, keepdims=True)
+    shape = (v_base.output_size, v_other.output_size)
+    coef = np.kron(v_base.rows, np.eye(shape[1]))
+    d_rows, margin = _solve_row_stochastic(shape, coef, v_other.rows.ravel(), tol)
+    if d_rows is None:
+        return DegradednessReport(degraded=False, d_witness=None, residual=margin, margin=margin)
     residual = degradation_residual(v_base, v_other, d_rows)
-    return DegradednessReport(degraded=True, d_witness=Channel(d_rows), residual=residual, margin=0.0)
+    return DegradednessReport(degraded=True, d_witness=Channel(d_rows), residual=residual, margin=margin)
 
 
 def find_best_eaves_channel(eaves: Sequence[Channel], tol: float = DEFAULT_TOL) -> BestChannelReport:

@@ -16,6 +16,7 @@ from avwc import (
     secrecy_upper_bound_single_letter,
 )
 from avwc.bounds import (
+    MAX_SEED,
     _line_max,
     _scan_min_over_q,
     min_mi_over_mixtures,
@@ -339,6 +340,23 @@ class TestMultiletter:
             result = multiletter_bound(avwc, n, opts=FAST)
             assert abs(result.value) <= 1e-6
 
+    def test_reports_the_grid_q_its_value_uses(self):
+        """inner_argmin_q is the grid minimiser of I(U;Y^2_q) at the reported pair."""
+        main = (Channel(np.array([[1.0, 0.0], [0.3, 0.7]])), Channel(np.array([[0.55, 0.45], [0.0, 1.0]])))
+        eaves = (Channel.bsc(0.3), Channel.bsc(0.35))
+        result = multiletter_bound(AVWC(main=main, eaves=eaves), 2, opts=FAST)
+        pair = result.aux
+
+        def info(family, q):
+            rows = mixture_channel(family, Distribution(q)).rows
+            return mutual_information(pair.p_u, Channel(pair.x_given_u.rows @ np.kron(rows, rows)))
+
+        grid = list(simplex_grid(2, FAST.q_grid_denominator // 2))
+        y_info = [info(main, q) for q in grid]
+        assert np.array_equal(result.inner_argmin_q.probs, grid[int(np.argmin(y_info))])
+        z_max = max(info(eaves, q) for q in grid)
+        assert result.value == pytest.approx((min(y_info) - z_max) / 2, abs=1e-9)
+
 
 def test_multiletter_not_below_lower_bound_three_states():
     """n = 2 on three Z-like states may not understate n times an achievable rate.
@@ -370,3 +388,13 @@ def test_mixture_information_peaks_at_states():
         state_max = max(mutual_information(p, ch) for ch in family)
         assert grid_max <= state_max + 1e-6
         assert state_max <= grid_max + 1e-12
+
+
+def test_seed_range_covers_both_philox_streams():
+    """The ascent keys Philox with seed and the auxiliary ascent with seed + 1."""
+    avwc = AVWC(main=(Channel.bsc(0.05),), eaves=(Channel.bsc(0.2),))
+    opts = BoundOptions(starts=2, aux_starts=3, aux_iters=5, seed=MAX_SEED)
+    assert secrecy_upper_bound_single_letter(avwc, opts=opts).value > 0.0
+    for seed in (-1, MAX_SEED + 1):
+        with pytest.raises(ValueError, match="seed must be in"):
+            BoundOptions(seed=seed)

@@ -186,6 +186,31 @@ class TestCommands:
         assert f"must be at least {minimum}, got {flags[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, maximum",
+        [
+            (("bounds", "single_bsc.avwc", "--seed", str(2**128 - 1)), 2**128 - 2),
+            (("code", "single_bsc.avwc", "build", "--n", "3", "--tau", "0.05", "--seed", str(2**128)), 2**128 - 1),
+        ],
+        ids=["bounds-seed", "build-seed"],
+    )
+    def test_seeds_outside_the_philox_key_range_are_usage_errors(self, capsys, argv, maximum):
+        # bounds key a second stream with seed + 1, so their limit is one lower
+        command, spec, *flags = argv
+        with pytest.raises(SystemExit) as exited:
+            main([command, sample(spec), *flags])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be at most {maximum}, got {flags[-1]}" in err
+        assert "size estimate" not in err
+
+    def test_largest_code_seed_builds(self, capsys):
+        code, _, _ = run(
+            capsys, "code", sample("single_bsc.avwc"), "build", "--n", "3", "--tau", "0.05",
+            "--seed", str(2**128 - 1),
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ("build", "--n", "3", "--tau", "0.05", "--delta", "-1"),

@@ -1,4 +1,7 @@
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from avwc import Channel, Distribution, find_best_eaves_channel, mixture_channel, mutual_information
 from avwc import test_degraded as degradedness_test
@@ -110,3 +113,60 @@ def test_marginal_flag_near_tolerance_boundary():
     borderline = symmetrisability_test(family, crisp.margin / 5.0)
     assert not borderline.symmetrisable
     assert borderline.marginal
+
+
+@st.composite
+def binary_input_families(draw):
+    """One to three binary-input states over two or three outputs, on a coarse grid of rows."""
+    s_size, b_size = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, 4, size=(s_size, 2, b_size)).astype(float)
+    stack[..., 0] += stack.sum(axis=-1) == 0
+    return [Channel(rows / rows.sum(axis=1, keepdims=True)) for rows in stack]
+
+
+def hull_distance(family):
+    """L1 distance between conv{W_s(.|0)} and conv{W_s(.|1)}, by linprog.
+
+    Variables are the weights a, b of the two hulls and t >= |a W(.|0) - b W(.|1)|.
+    """
+    w0 = np.stack([ch.rows[0] for ch in family], axis=1)  # (B, S)
+    w1 = np.stack([ch.rows[1] for ch in family], axis=1)
+    b_size, s_size = w0.shape
+    diff = np.hstack([w0, -w1])
+    eye = np.eye(b_size)
+    a_ub = np.vstack([np.hstack([diff, -eye]), np.hstack([-diff, -eye])])
+    a_eq = np.zeros((2, 2 * s_size + b_size))
+    a_eq[0, :s_size] = a_eq[1, s_size : 2 * s_size] = 1.0
+    cost = np.concatenate([np.zeros(2 * s_size), np.ones(b_size)])
+    result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(2 * b_size), A_eq=a_eq, b_eq=np.ones(2))
+    assert result.status == 0
+    return result.fun
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=binary_input_families())
+def test_binary_symmetrisability_is_hull_intersection(family):
+    """With two inputs, U symmetrises the family exactly when the two row hulls meet."""
+    distance = hull_distance(family)
+    assume(distance <= 1e-9 or distance > 1e-6)
+    report = symmetrisability_test(family, 1e-8)
+    assert report.symmetrisable == (distance <= 1e-9)
+    if report.symmetrisable:
+        assert report.residual <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_post_processed_channel_is_degraded(sizes, seed):
+    """V followed by any stochastic D is degraded with respect to V."""
+    a_size, z_size, out_size = sizes
+    rng = np.random.default_rng(seed)
+    base = Channel(rng.dirichlet(np.ones(z_size), size=a_size))
+    d_rows = rng.dirichlet(np.ones(out_size), size=z_size)
+    report = degradedness_test(base, Channel(base.rows @ d_rows), 1e-8)
+    assert report.degraded
+    assert report.residual <= 1e-8
