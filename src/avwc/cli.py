@@ -106,11 +106,7 @@ def cmd_structure(args) -> dict:
     best_block: dict = {"tag": "best-eavesdropper-channel", "exists": best.exists}
     if best.exists:
         best_block["q_star"] = _vector(best.q_star.probs)
-        best_block["state"] = (
-            spec.state_names[int(np.argmax(best.q_star.probs))]
-            if max(best.q_star.probs) > 0.999999
-            else None
-        )
+        best_block["state"] = spec.state_names[int(np.argmax(best.q_star.probs))]
         best_block["per_state_residuals"] = [r.residual for r in best.per_state_reports]
     else:
         best_block["candidates_tried"] = best.candidates_tried

@@ -5,7 +5,9 @@ Codewords are written as digit strings over the input alphabet (sizes up to
 lexicographic order, ``-`` marking erasure.  A random code selects its
 members uniformly, so its ``weights`` line always reads ``weights uniform``.
 The formats are binary-free so pipeline stages can be chained between CLI
-invocations and inspected by hand.
+invocations and inspected by hand.  They are read with the channel-spec
+format's line reader and integer parser, so a malformed file raises
+``SpecFormatError`` naming its line.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .coding import ERASURE, RandomCode, WiretapCode
 from .errors import SpecFormatError
+from .specfile import _parse_int, _Reader
 
 CODE_FORMAT_VERSION = 1
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -57,99 +60,50 @@ def serialize_code(code: WiretapCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _LineReader:
-    """The non-blank lines of a text with ``#`` comments stripped, read in order."""
+def _parse_code_block(lines: _Reader) -> WiretapCode:
+    expect = partial(lines.expect, "code block")
+    lines.header(f"avwc-code {CODE_FORMAT_VERSION}")
+    sizes = []
+    for key in ("block_length", "input_size", "output_size", "message_count", "randomizer_count"):
+        line_no, (token,) = expect(f"{key} <value>")
+        sizes.append(_parse_int(token, line_no, key, 1))
+    n, input_size, output_size, j_count, l_count = sizes
 
-    def __init__(self, text: str):
-        stripped = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), 1))
-        self.lines = [(i, content) for i, content in stripped if content]
-        self.pos = 0
-
-    def take(self, what: str) -> tuple[int, str]:
-        """The next line as (line number, content); ``what`` names the block for EOF errors."""
-        if self.pos >= len(self.lines):
-            raise SpecFormatError(f"unexpected end of {what}", self.lines[-1][0] if self.lines else 1)
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-    def expect_end(self, what: str) -> None:
-        if self.pos != len(self.lines):
-            raise SpecFormatError(f"trailing content after {what}", self.lines[self.pos][0])
-
-
-def _read_header_value(lines: _LineReader, key: str, what: str) -> int:
-    line_no, content = lines.take(what)
-    tokens = content.split()
-    if len(tokens) != 2 or tokens[0] != key:
-        raise SpecFormatError(f"expected '{key} <value>'", line_no)
-    try:
-        return int(tokens[1])
-    except ValueError:
-        raise SpecFormatError(f"expected an integer for {key}", line_no) from None
-
-
-def _parse_code_block(lines: _LineReader) -> WiretapCode:
-    take = partial(lines.take, "code block")
-    line_no, content = take()
-    if content.split() != ["avwc-code", str(CODE_FORMAT_VERSION)]:
-        raise SpecFormatError(f"expected header 'avwc-code {CODE_FORMAT_VERSION}'", line_no)
-    n, input_size, output_size, j_count, l_count = (
-        _read_header_value(lines, key, "code block")
-        for key in ("block_length", "input_size", "output_size", "message_count", "randomizer_count")
-    )
-
-    codewords = np.zeros((j_count, l_count, n), dtype=int)
-    seen = np.zeros((j_count, l_count), dtype=bool)
+    words: dict[tuple[int, int], list[int]] = {}
     for _ in range(j_count * l_count):
-        line_no, content = take()
-        tokens = content.split()
-        if len(tokens) != 4 or tokens[0] != "codeword":
-            raise SpecFormatError("expected 'codeword <j> <l> <word>'", line_no)
-        j, l = int(tokens[1]), int(tokens[2])
-        if not (0 <= j < j_count and 0 <= l < l_count):
-            raise SpecFormatError("codeword indices out of range", line_no)
-        if seen[j, l]:
+        line_no, (j, l, word) = expect("codeword <j> <l> <word>")
+        j = _parse_int(j, line_no, "codeword j", 0, j_count)
+        l = _parse_int(l, line_no, "codeword l", 0, l_count)
+        if (j, l) in words:
             raise SpecFormatError(f"duplicate codeword ({j}, {l})", line_no)
-        word = _decode_word(tokens[3], input_size, line_no)
-        if len(word) != n:
-            raise SpecFormatError(f"codeword length {len(word)}, expected {n}", line_no)
-        codewords[j, l] = word
-        seen[j, l] = True
+        symbols = _decode_word(word, input_size, line_no)
+        if len(symbols) != n:
+            raise SpecFormatError(f"codeword length {len(symbols)}, expected {n}", line_no)
+        words[j, l] = symbols
 
-    line_no, content = take()
-    if content.strip() != "decoder":
-        raise SpecFormatError("expected 'decoder'", line_no)
+    expect("decoder")
     needed = output_size**n
     assignment: list[int] = []
     while len(assignment) < needed:
-        line_no, content = take()
-        for token in content.split():
-            if token == "-":
-                assignment.append(ERASURE)
-            else:
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise SpecFormatError(f"bad decoder token {token!r}", line_no) from None
-                if not 0 <= value < j_count:
-                    raise SpecFormatError(f"decoder message {value} out of range", line_no)
-                assignment.append(value)
+        line_no, tokens = lines.take("code block")
+        assignment += [
+            ERASURE if token == "-" else _parse_int(token, line_no, "decoder message", 0, j_count)
+            for token in tokens
+        ]
         if len(assignment) > needed:
             raise SpecFormatError("decoder has too many assignments", line_no)
-    line_no, content = take()
-    if content.strip() != "end":
-        raise SpecFormatError("expected 'end'", line_no)
+    expect("end")
     return WiretapCode(
         n=n,
         input_size=input_size,
         output_size=output_size,
-        codewords=codewords,
+        codewords=np.array([[words[j, l] for l in range(l_count)] for j in range(j_count)]),
         decoder=np.asarray(assignment),
     )
 
 
 def parse_code(text: str) -> WiretapCode:
-    lines = _LineReader(text)
+    lines = _Reader(text)
     code = _parse_code_block(lines)
     lines.expect_end("code block")
     return code
@@ -170,29 +124,21 @@ def serialize_random_code(rc: RandomCode) -> str:
 
 
 def parse_random_code(text: str) -> RandomCode:
-    lines = _LineReader(text)
-
-    take = partial(lines.take, "random-code file")
-    line_no, content = take()
-    if content.split() != ["avwc-random-code", str(CODE_FORMAT_VERSION)]:
-        raise SpecFormatError(f"expected header 'avwc-random-code {CODE_FORMAT_VERSION}'", line_no)
-    count = _read_header_value(lines, "member_count", "random-code file")
-    line_no, content = take()
-    tokens = content.split()
-    if len(tokens) != 2 or tokens[0] != "origin":
-        raise SpecFormatError("expected 'origin <tag>'", line_no)
-    origin = tokens[1]
+    lines = _Reader(text)
+    expect = partial(lines.expect, "random-code file")
+    lines.header(f"avwc-random-code {CODE_FORMAT_VERSION}")
+    line_no, (token,) = expect("member_count <value>")
+    count = _parse_int(token, line_no, "member_count", 1)
+    line_no, (origin,) = expect("origin <tag>")
     if origin not in ("permutation-family", "reduced", "explicit"):
         raise SpecFormatError(f"unknown origin {origin!r}", line_no)
-    line_no, content = take()
-    if content.split() != ["weights", "uniform"]:
+    line_no, tokens = lines.take("random-code file")
+    if tokens != ["weights", "uniform"]:
         raise SpecFormatError("expected 'weights uniform': random codes select members uniformly", line_no)
 
     members = []
     for i in range(count):
-        line_no, content = take()
-        if content.split() != ["member", str(i)]:
-            raise SpecFormatError(f"expected 'member {i}'", line_no)
+        expect(f"member {i}")
         members.append(_parse_code_block(lines))
     lines.expect_end("members")
     return RandomCode(members=members, origin=origin)

@@ -218,6 +218,12 @@ def sequence_table(
     return table
 
 
+def _check_alphabets(code: WiretapCode, avwc: AVWC) -> None:
+    """Refuse a code whose input or output alphabet is not the channel family's."""
+    if avwc.input_size != code.input_size or avwc.main_output_size != code.output_size:
+        raise ValueError("code alphabets do not match the channel family")
+
+
 def first_maximum(values: np.ndarray) -> int:
     """Flat index of the first entry within ``TIE_TOL`` of the maximum (row-major order)."""
     flat = np.ravel(values)
@@ -257,6 +263,7 @@ def evaluate_code(
     Sampled mode Monte-Carlo estimates the error only; leakage is exact or
     the call is refused, never sampled.
     """
+    _check_alphabets(code, avwc)
     n = code.n
     s_count = avwc.state_count
     check_enumeration(s_count**n, "state sequence enumeration")

@@ -36,6 +36,7 @@ from .coding import (
     RandomCode,
     ReductionReport,
     WiretapCode,
+    _check_alphabets,
     error_probability,
     first_maximum,
     message_success,
@@ -114,8 +115,7 @@ class PermutationFamily(Sequence[WiretapCode]):
 
 def robustify(code: WiretapCode, avwc: AVWC) -> RandomCode:
     """Uniformly selected permutation family of the code, members materialized lazily."""
-    if avwc.input_size != code.input_size or avwc.main_output_size != code.output_size:
-        raise ValueError("code alphabets do not match the channel family")
+    _check_alphabets(code, avwc)
     check_enumeration(math.factorial(code.n), "permutation family")
     return RandomCode(members=PermutationFamily(code), origin="permutation-family")
 
@@ -175,6 +175,7 @@ def verify_robustification(code: WiretapCode, avwc: AVWC) -> RobustificationRepo
     i.i.d. extensions of the state types of length n; each group-averaged
     success must then reach 1 - 3 (n+1)^{|S|} gamma.
     """
+    _check_alphabets(code, avwc)
     n, s_count = code.n, avwc.state_count
     check_enumeration(s_count**n, "robustification verification")
     sequences = word_matrix(s_count, n)
@@ -415,6 +416,7 @@ def eliminate_randomness(reduced: RandomCode, avwc: AVWC, prefix_len: int) -> El
         raise ValueError("reduced code has no members")
     base = members[0]
     for m in members:
+        _check_alphabets(m, avwc)
         if (m.n, m.j_count, m.l_count) != (base.n, base.j_count, base.l_count):
             raise ValueError("members must share block length and code size")
 

@@ -15,8 +15,9 @@ Grammar (one directive per line, ``#`` starts a comment, blank lines ignored)::
     dist <name> inputs|states <p1> <p2> ...
 
 Every state needs one ``main`` and one ``eaves`` matrix.  Rows must sum to
-one within 1e-9; numbers are parsed as decimal doubles.  Duplicate state
-names and duplicate matrix blocks are rejected.
+one within 1e-9; numbers are parsed as decimal doubles.  Each size directive
+(``states``, ``inputs``, ``outputs main``, ``outputs eaves``) appears once;
+duplicate state names and duplicate matrix blocks are rejected.
 """
 
 from __future__ import annotations
@@ -51,44 +52,92 @@ def _parse_number(token: str, line_no: int, column: int) -> float:
     return value
 
 
-def _parse_count(token: str, line_no: int) -> int:
+def _parse_int(token: str, line_no: int, what: str, low: int, high: int | None = None) -> int:
+    """``token`` as an integer of at least ``low`` (and below ``high`` when given)."""
     try:
         value = int(token)
     except ValueError:
-        raise SpecFormatError(f"expected a positive integer, got {token!r}", line_no) from None
-    if value < 1:
-        raise SpecFormatError(f"count must be positive, got {value}", line_no)
+        raise SpecFormatError(f"expected an integer {what}, got {token!r}", line_no) from None
+    if value < low or (high is not None and value >= high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high})"
+        raise SpecFormatError(f"{what} must be {bound}, got {value}", line_no)
     return value
 
 
-class _Lines:
+class _Reader:
+    """The non-blank lines of a text, ``#`` comments stripped, as (line number, tokens) in order.
+
+    The channel-spec, code and random-code formats all read their text through it.
+    """
+
     def __init__(self, text: str):
-        self.items: list[tuple[int, str]] = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                self.items.append((i, stripped))
+        numbered = ((i, raw.split("#", 1)[0].split()) for i, raw in enumerate(text.splitlines(), 1))
+        self.lines = [(i, tokens) for i, tokens in numbered if tokens]
         self.pos = 0
+        self.last_line = self.lines[-1][0] if self.lines else 1  # where end-of-text errors point
 
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
+    def next(self) -> tuple[int, list[str]] | None:
+        if self.pos == len(self.lines):
+            return None
+        self.pos += 1
+        return self.lines[self.pos - 1]
 
-    def next(self):
-        item = self.peek()
-        if item is not None:
-            self.pos += 1
+    def take(self, what: str) -> tuple[int, list[str]]:
+        """The next line; ``what`` names the block for end-of-text errors."""
+        item = self.next()
+        if item is None:
+            raise SpecFormatError(f"unexpected end of {what}", self.last_line)
         return item
+
+    def expect(self, what: str, form: str) -> tuple[int, list[str]]:
+        """The next line's number and its tokens at the ``<placeholder>`` words of ``form``.
+
+        Every other word of ``form`` must appear as is, and the line has no other tokens.
+        """
+        line_no, tokens = self.take(what)
+        words = form.split()
+        if len(tokens) != len(words) or [t if w[0] == "<" else w for w, t in zip(words, tokens)] != tokens:
+            raise SpecFormatError(f"expected '{form}'", line_no)
+        return line_no, [t for w, t in zip(words, tokens) if w[0] == "<"]
+
+    def header(self, magic: str) -> None:
+        """Check that the next line is ``magic``, the format's name and version."""
+        item = self.next()
+        if item is None or item[1] != magic.split():
+            raise SpecFormatError(f"expected header '{magic}'", item[0] if item else self.last_line)
+
+    def expect_end(self, what: str) -> None:
+        if self.pos != len(self.lines):
+            raise SpecFormatError(f"trailing content after {what}", self.lines[self.pos][0])
+
+
+_SIZE_DIRECTIVES = ("states", "inputs", "outputs main", "outputs eaves")
+
+
+def _read_size(tokens: list[str], line_no: int, sizes: dict, labels: dict) -> None:
+    """Read a size directive: a count of at least 1, then optionally 'names' (for
+    states) or 'labels' and exactly that many entries.  Each directive may appear once."""
+    width = 2 if tokens[0] == "outputs" else 1
+    name = " ".join(tokens[:width])
+    if name not in _SIZE_DIRECTIVES:
+        raise SpecFormatError("'outputs' wants 'main' or 'eaves' and a count", line_no)
+    if name in sizes:
+        raise SpecFormatError(f"duplicate '{name}' directive", line_no)
+    if len(tokens) == width:
+        raise SpecFormatError(f"'{name}' needs a count", line_no)
+    count = _parse_int(tokens[width], line_no, f"'{name}' count", 1)
+    entries = tokens[width + 1 :]
+    list_word = "names" if name == "states" else "labels"
+    if entries and (entries[0] != list_word or len(entries) != 1 + count):
+        raise SpecFormatError(f"'{name}' wants '{list_word}' plus exactly {count} entries", line_no)
+    sizes[name] = count
+    labels[name] = tuple(entries[1:]) if entries else tuple(str(i) for i in range(count))
 
 
 def parse_spec(text: str) -> ChannelSpecFile:
-    lines = _Lines(text)
-    header = lines.next()
-    if header is None or header[1].split() != ["avwc", str(FORMAT_VERSION)]:
-        line_no = header[0] if header else 1
-        raise SpecFormatError(f"expected header 'avwc {FORMAT_VERSION}'", line_no)
+    lines = _Reader(text)
+    lines.header(f"avwc {FORMAT_VERSION}")
 
-    state_count = None
-    state_names: list[str] = []
     sizes: dict[str, int] = {}
     labels: dict[str, tuple[str, ...]] = {}
     main_blocks: dict[int, np.ndarray] = {}
@@ -96,24 +145,14 @@ def parse_spec(text: str) -> ChannelSpecFile:
     dists: dict[str, tuple[str, Distribution]] = {}
 
     def state_index(token: str, line_no: int) -> int:
-        if token in state_names:
-            return state_names.index(token)
-        try:
-            idx = int(token)
-        except ValueError:
-            raise SpecFormatError(f"unknown state {token!r}", line_no) from None
-        if not 0 <= idx < state_count:
-            raise SpecFormatError(f"state index {idx} outside [0, {state_count})", line_no)
-        return idx
+        if token in labels["states"]:
+            return labels["states"].index(token)
+        return _parse_int(token, line_no, "state index", 0, sizes["states"])
 
     def read_matrix(rows: int, cols: int, what: str) -> np.ndarray:
         matrix = np.zeros((rows, cols))
         for r in range(rows):
-            item = lines.next()
-            if item is None:
-                raise SpecFormatError(f"{what}: missing row {r}", len(text.splitlines()))
-            line_no, content = item
-            tokens = content.split()
+            line_no, tokens = lines.take(f"{what} at row {r}")
             if len(tokens) != cols:
                 raise SpecFormatError(
                     f"{what}: row {r} has {len(tokens)} entries, expected {cols}", line_no
@@ -129,44 +168,14 @@ def parse_spec(text: str) -> ChannelSpecFile:
         return matrix
 
     while (item := lines.next()) is not None:
-        line_no, content = item
-        tokens = content.split()
+        line_no, tokens = item
         keyword = tokens[0]
-        if keyword == "states":
-            if state_count is not None:
-                raise SpecFormatError("duplicate 'states' directive", line_no)
-            if len(tokens) < 2:
-                raise SpecFormatError("'states' needs a count", line_no)
-            state_count = _parse_count(tokens[1], line_no)
-            if len(tokens) > 2:
-                if tokens[2] != "names" or len(tokens) != 3 + state_count:
-                    raise SpecFormatError(
-                        f"'states' wants 'names' plus exactly {state_count} entries", line_no
-                    )
-                state_names = tokens[3:]
-                if len(set(state_names)) != state_count:
-                    raise SpecFormatError("duplicate state names", line_no)
-            else:
-                state_names = [str(i) for i in range(state_count)]
-        elif keyword == "inputs":
-            if len(tokens) < 2:
-                raise SpecFormatError("'inputs' needs a count", line_no)
-            sizes["inputs"] = _parse_count(tokens[1], line_no)
-            if len(tokens) > 2:
-                if tokens[2] != "labels" or len(tokens) != 3 + sizes["inputs"]:
-                    raise SpecFormatError("'inputs' wants 'labels' plus one entry per symbol", line_no)
-                labels["inputs"] = tuple(tokens[3:])
-        elif keyword == "outputs":
-            if len(tokens) < 3 or tokens[1] not in ("main", "eaves"):
-                raise SpecFormatError("'outputs' wants 'main' or 'eaves' and a count", line_no)
-            key = f"outputs-{tokens[1]}"
-            sizes[key] = _parse_count(tokens[2], line_no)
-            if len(tokens) > 3:
-                if tokens[3] != "labels" or len(tokens) != 4 + sizes[key]:
-                    raise SpecFormatError("'outputs' wants 'labels' plus one entry per symbol", line_no)
-                labels[key] = tuple(tokens[4:])
+        if keyword in ("states", "inputs", "outputs"):
+            _read_size(tokens, line_no, sizes, labels)
+            if keyword == "states" and len(set(labels["states"])) != sizes["states"]:
+                raise SpecFormatError("duplicate state names", line_no)
         elif keyword in ("main", "eaves"):
-            if state_count is None or "inputs" not in sizes or f"outputs-{keyword}" not in sizes:
+            if not {"states", "inputs", f"outputs {keyword}"} <= sizes.keys():
                 raise SpecFormatError(
                     f"'{keyword}' block before 'states', 'inputs' and 'outputs {keyword}'", line_no
                 )
@@ -177,7 +186,7 @@ def parse_spec(text: str) -> ChannelSpecFile:
             if idx in blocks:
                 raise SpecFormatError(f"duplicate '{keyword}' matrix for state {tokens[1]}", line_no)
             blocks[idx] = read_matrix(
-                sizes["inputs"], sizes[f"outputs-{keyword}"], f"{keyword} matrix for state {tokens[1]}"
+                sizes["inputs"], sizes[f"outputs {keyword}"], f"{keyword} matrix for state {tokens[1]}"
             )
         elif keyword == "dist":
             if len(tokens) < 4 or tokens[2] not in ("inputs", "states"):
@@ -186,7 +195,7 @@ def parse_spec(text: str) -> ChannelSpecFile:
             if name in dists:
                 raise SpecFormatError(f"duplicate distribution {name!r}", line_no)
             values = [_parse_number(tok, line_no, i + 4) for i, tok in enumerate(tokens[3:])]
-            expected = sizes.get("inputs") if tokens[2] == "inputs" else state_count
+            expected = sizes.get(tokens[2])
             if expected is None:
                 raise SpecFormatError("'dist' before the relevant size directive", line_no)
             if len(values) != expected:
@@ -200,11 +209,11 @@ def parse_spec(text: str) -> ChannelSpecFile:
         else:
             raise SpecFormatError(f"unknown directive {keyword!r}", line_no)
 
-    if state_count is None:
-        raise SpecFormatError("missing 'states' directive", 1)
-    for required in ("inputs", "outputs-main", "outputs-eaves"):
+    for required in _SIZE_DIRECTIVES:
         if required not in sizes:
-            raise SpecFormatError(f"missing '{required.replace('-', ' ')}' directive", 1)
+            raise SpecFormatError(f"missing '{required}' directive", 1)
+    state_count = sizes["states"]
+    state_names = labels["states"]
     missing_main = [state_names[i] for i in range(state_count) if i not in main_blocks]
     missing_eaves = [state_names[i] for i in range(state_count) if i not in eaves_blocks]
     if missing_main:
@@ -218,14 +227,10 @@ def parse_spec(text: str) -> ChannelSpecFile:
     )
     return ChannelSpecFile(
         avwc=avwc,
-        state_names=tuple(state_names),
-        input_labels=labels.get("inputs", tuple(str(i) for i in range(sizes["inputs"]))),
-        main_output_labels=labels.get(
-            "outputs-main", tuple(str(i) for i in range(sizes["outputs-main"]))
-        ),
-        eaves_output_labels=labels.get(
-            "outputs-eaves", tuple(str(i) for i in range(sizes["outputs-eaves"]))
-        ),
+        state_names=state_names,
+        input_labels=labels["inputs"],
+        main_output_labels=labels["outputs main"],
+        eaves_output_labels=labels["outputs eaves"],
         distributions=dists,
     )
 

@@ -1,8 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avwc import cli
 from avwc.cli import main
@@ -21,6 +24,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def two_message_code():
+    """n = 2, J = L = 2 code over binary alphabets; its file puts codeword (0, 1) on line 8."""
+    from avwc.coding import WiretapCode
+
+    return WiretapCode(
+        n=2,
+        input_size=2,
+        output_size=2,
+        codewords=np.array([[[0, 1], [1, 1]], [[1, 0], [0, 0]]]),
+        decoder=np.array([0, -1, 1, 0]),
+    )
 
 
 def two_copy_random_code():
@@ -73,6 +89,20 @@ class TestSpecFile:
         with pytest.raises(SpecFormatError, match="missing eaves"):
             parse_spec(text)
 
+    def test_repeated_size_directive_rejected(self, capsys, tmp_path):
+        # a second 'outputs main' would relabel a two-output channel with three labels
+        path = tmp_path / "twice.avwc"
+        path.write_text(
+            "avwc 1\nstates 1\ninputs 2\noutputs main 2\noutputs eaves 2\n"
+            "main 0\n0.9 0.1\n0.1 0.9\noutputs main 3\neaves 0\n0.5 0.5\n0.5 0.5\n"
+        )
+        with pytest.raises(SpecFormatError, match="duplicate 'outputs main' directive") as err:
+            parse_spec(path.read_text())
+        assert err.value.line == 9
+        code, _, err_text = run(capsys, "structure", str(path))
+        assert code == 2
+        assert "(line 9)" in err_text
+
     def test_parse_error_carries_line_number(self):
         text = "avwc 1\nstates 1\ninputs 2\noutputs main 2\noutputs eaves 2\nmain 0\n0.9 oops\n"
         with pytest.raises(SpecFormatError) as err:
@@ -82,15 +112,7 @@ class TestSpecFile:
 
 class TestCodeFile:
     def test_code_round_trip(self):
-        from avwc.coding import WiretapCode
-
-        code = WiretapCode(
-            n=2,
-            input_size=2,
-            output_size=2,
-            codewords=np.array([[[0, 1], [1, 1]], [[1, 0], [0, 0]]]),
-            decoder=np.array([0, -1, 1, 0]),
-        )
+        code = two_message_code()
         again = parse_code(serialize_code(code))
         assert np.array_equal(code.codewords, again.codewords)
         assert np.array_equal(code.decoder, again.decoder)
@@ -101,6 +123,77 @@ class TestCodeFile:
         assert again.origin == "reduced"
         assert again.member_count() == 2
         assert np.array_equal(again.members[0].codewords, rc.members[0].codewords)
+
+    @pytest.mark.parametrize(
+        "line, replacement, line_no",
+        [
+            ("codeword 0 1 11", "codeword x 1 11", 8),
+            ("codeword 0 1 11", "codeword 1.5 1 11", 8),
+            ("block_length 2", "block_length -1", 2),
+            ("message_count 2", "message_count -1", 5),
+            ("block_length 2", "block_length 0", 2),
+        ],
+        ids=["codeword-j-x", "codeword-j-1.5", "block-length-negative", "message-count-negative",
+             "block-length-zero"],
+    )
+    def test_bad_code_integers_name_their_line(self, capsys, tmp_path, line, replacement, line_no):
+        text = serialize_code(two_message_code())
+        assert f"\n{line}\n" in text
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace(line, replacement))
+        with pytest.raises(SpecFormatError) as err:
+            parse_code(path.read_text())
+        assert err.value.line == line_no
+        code, _, err_text = run(capsys, "code", sample("degraded_pair.avwc"), "evaluate", "--code", str(path))
+        assert code == 2
+        assert f"(line {line_no})" in err_text
+
+    def test_random_code_without_members_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text(serialize_random_code(two_copy_random_code()).replace("member_count 2", "member_count 0"))
+        with pytest.raises(SpecFormatError) as err:
+            parse_random_code(path.read_text())
+        assert err.value.line == 2
+        code, _, err_text = run(
+            capsys, "code", sample("degraded_pair.avwc"), "eliminate", "--reduced", str(path), "--prefix-len", "1"
+        )
+        assert code == 2
+        assert "member_count must be at least 1, got 0 (line 2)" in err_text
+
+
+MUTATIONS = ("-1", "0", "x", "1.5", "2", "99", "states", "outputs", "codeword", "member", "end")
+
+
+@pytest.fixture(scope="module")
+def format_texts():
+    """(parser, text) for a serialized sample spec, a built code and a two-member random code."""
+    from avwc.channels import Distribution
+    from avwc.coding import RandomCode, build_random_codebook
+
+    spec = load_spec(sample("degraded_pair.avwc"))
+    codes = [
+        build_random_codebook(Distribution.uniform(2), spec.avwc, 3, tau=0.05, seed=seed, delta=0.3,
+                              j_count=2, l_count=2)
+        for seed in (1, 2)
+    ]
+    return [
+        (parse_spec, serialize_spec(spec)),
+        (parse_code, serialize_code(codes[0])),
+        (parse_random_code, serialize_random_code(RandomCode(members=codes, origin="reduced"))),
+    ]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_token_mutations_parse_or_raise_a_located_format_error(format_texts, data):
+    """Any one token replaced: the parser returns a result or raises SpecFormatError with a line."""
+    parse, text = data.draw(st.sampled_from(format_texts))
+    start, end = data.draw(st.sampled_from([m.span() for m in re.finditer(r"\S+", text)]))
+    mutated = text[:start] + data.draw(st.sampled_from(MUTATIONS)) + text[end:]
+    try:
+        parse(mutated)
+    except SpecFormatError as err:
+        assert err.line is not None
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +322,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"must be a positive number, got {float(flags[-1])}" in err
         assert "size estimate" not in err
+
+    @pytest.mark.parametrize("flags", [("evaluate",), ("verify-lemmas", "--n", "3")], ids=["evaluate", "verify-lemmas"])
+    @pytest.mark.parametrize(
+        "input_size, output_size, word", [(3, 2, [2, 1, 0]), (2, 3, [0, 1, 0])], ids=["inputs", "outputs"]
+    )
+    def test_code_alphabets_must_match_the_spec(self, capsys, tmp_path, flags, input_size, output_size, word):
+        from avwc.coding import WiretapCode
+
+        code = WiretapCode(
+            n=3, input_size=input_size, output_size=output_size, codewords=np.array([[word]]),
+            decoder=np.zeros(output_size**3, dtype=int),
+        )
+        path = tmp_path / "code.txt"
+        path.write_text(serialize_code(code))
+        exit_code, _, err = run(capsys, "code", sample("single_bsc.avwc"), *flags, "--code", str(path))
+        assert exit_code == 4
+        assert "code alphabets do not match the channel family" in err
 
     def test_weighted_random_code_file_is_a_format_error(self, capsys, tmp_path):
         path = tmp_path / "weighted.txt"
