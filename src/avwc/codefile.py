@@ -66,7 +66,8 @@ def _parse_code_block(lines: _Reader) -> WiretapCode:
     sizes = []
     for key in ("block_length", "input_size", "output_size", "message_count", "randomizer_count"):
         line_no, (token,) = expect(f"{key} <value>")
-        sizes.append(_parse_int(token, line_no, key, 1))
+        high = len(_DIGITS) + 1 if key.endswith("_size") else None  # serialize_code writes at most 36
+        sizes.append(_parse_int(token, line_no, key, 1, high))
     n, input_size, output_size, j_count, l_count = sizes
 
     words: dict[tuple[int, int], list[int]] = {}

@@ -9,6 +9,9 @@ Every exact evaluation runs on one kernel, ``output_law`` (p(y^n | j) for all
 codewords and a batch of channel stacks at once): ``sequence_table`` applies
 it to chunks of state sequences under the working-memory budget of
 ``channels.chunks``, and the one-sequence functions are front-ends over it.
+The kernel grows the laws one position at a time with one multiply per
+output symbol, so numpy's inner loops run over whole partial laws rather than
+over the |B| entries of a channel row.
 Leakage, I(J; Z^n) with J uniform, is ``information.mi_batch`` on those laws;
 it is never estimated by sampling because sampled mutual-information
 estimates are biased, so oversized instances are refused instead.
@@ -135,16 +138,22 @@ def output_law(codewords: np.ndarray, channels: np.ndarray) -> np.ndarray:
     ``codewords`` is a (J, L, n) array and ``channels`` an (..., n, |A|, |B|)
     stack whose entry i acts at position i; leading axes are a batch of
     stacks.  All J*L codewords and all stacks advance together: position i
-    multiplies every partial law by the row its codeword selects.
+    multiplies every partial law by the row its codeword selects, one output
+    symbol y at a time, so each multiply runs over a whole partial law
+    instead of |B| entries.
     """
     j_count, l_count, n = codewords.shape
     words = codewords.reshape(j_count * l_count, n)
     batch = channels.shape[:-3]
+    b = channels.shape[-1]
     rows = channels[..., np.arange(n), words, :]  # (..., J*L, n, |B|): the row each position selects
     law = np.ones(batch + (len(words), 1))
     for i in range(n):
-        law = (law[..., None] * rows[..., i, None, :]).reshape(batch + (len(words), -1))
-    return law.reshape(batch + (j_count, l_count, -1)).mean(axis=-2)
+        grown = np.empty(law.shape + (b,))
+        for y in range(b):
+            np.multiply(law, rows[..., i, y, None], out=grown[..., y])
+        law = grown.reshape(batch + (len(words), -1))
+    return law.reshape(batch + (j_count, l_count, -1)).sum(axis=-2) / l_count  # mean over l, bit for bit
 
 
 def message_success(law: np.ndarray, decoder: np.ndarray) -> np.ndarray:

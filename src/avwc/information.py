@@ -1,7 +1,9 @@
 """Exact entropy, mutual information and KL divergence on finite alphabets, in bits.
 
-Conventions 0*log 0 = 0 and 0*log(0/0) = 0 are handled by explicit masking,
-never by epsilon flooring, so values are exact on simplex boundaries.
+Conventions 0*log 0 = 0 and 0*log(0/0) = 0 are handled exactly, never by
+epsilon flooring, so values are exact on simplex boundaries: ``xlog2x`` takes
+one unmasked log of max(x, smallest subnormal), which is x itself for every
+x > 0, and writes +0.0 where x <= 0; the KL forms mask their zero terms.
 ``mi_batch`` is the one mutual-information kernel, for the bounds' batches
 and for code leakage I(J; Z) = ``mi_batch(uniform_J, p(z | j))``.
 """
@@ -15,11 +17,17 @@ import numpy as np
 from .channels import Channel, Distribution
 
 
+_SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
+
+
 def xlog2x(values: np.ndarray) -> np.ndarray:
-    """Elementwise x*log2(x) with the 0*log 0 = 0 convention."""
+    """Elementwise x*log2(x) with the 0*log 0 = 0 convention; x <= 0 gives +0.0."""
     values = np.asarray(values, dtype=float)
-    logs = np.log2(values, out=np.zeros_like(values), where=values > 0.0)
-    return np.multiply(values, logs, out=logs)  # 0 * 0 where x = 0
+    logs = np.asarray(np.maximum(values, _SMALLEST_SUBNORMAL))  # every log finite, x > 0 unchanged
+    np.log2(logs, out=logs)
+    np.multiply(values, logs, out=logs)
+    logs[values <= 0.0] = 0.0  # zeros and roundoff negatives contribute +0.0
+    return logs
 
 
 def entropy_from_array(probs: np.ndarray) -> float:

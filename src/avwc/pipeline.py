@@ -8,6 +8,13 @@ member's table is that table re-indexed by its permutation, and averages over
 the whole group are means over type classes, which cost O(|S|^n).  ``PermutationFamily`` unranks
 a member's permutation from its index and never lists the n! of them; only
 the explicit reference average in ``permutation_mean_error`` walks the group.
+
+Elimination checks the combined code without building its laws: all K*J
+member messages take one ``output_law`` call per chunk of payload sequences
+and channel, the chunks sized from those member laws alone, and the payload
+leakage of one payload sequence comes from one matmul of the prefix rows
+against the member laws, laid out for a single ``mi_batch`` call over every
+prefix sequence.
 """
 
 from __future__ import annotations
@@ -451,6 +458,8 @@ def eliminate_randomness(reduced: RandomCode, avwc: AVWC, prefix_len: int) -> El
         output_law(prefix_as_code, avwc.main_stack[prefix_states]), prefix.decoder
     )  # (|S|^prefix_len, K)
     eaves_prefix_rows = output_law(prefix_as_code, avwc.eaves_stack[prefix_states])  # (P, K, c^prefix_len)
+    # member identity acts as encoder randomness: p(u, z^n | j) = sum_i (p_i(u) / K) p_i(z^n | j)
+    prefix_weights = eaves_prefix_rows.transpose(0, 2, 1).reshape(-1, k) / k  # (P*U, K)
 
     # payload: all K*J member messages in one output_law call per chunk of sequences and channel
     payload_states = word_matrix(avwc.state_count, n)
@@ -459,17 +468,17 @@ def eliminate_randomness(reduced: RandomCode, avwc: AVWC, prefix_len: int) -> El
     uniform_j = np.full(j_count, 1.0 / j_count)
     member_err, member_leak = np.empty((2, len(payload_states), k))
     leak = np.empty((len(prefix_states), len(payload_states)))  # payload leakage per (prefix, payload)
-    c = avwc.eaves_output_size  # chunks fit the member laws and the (prefix, j, u, z^n) joint
-    width = max(k * j_count * l_count * max(b, c) ** n, len(prefix_states) * j_count * c ** (prefix_len + n))
-    for chunk in chunks(len(payload_states), width):
+    c = avwc.eaves_output_size
+    for chunk in chunks(len(payload_states), k * j_count * l_count * max(b, c) ** n):
         states = payload_states[chunk]
         main = output_law(all_members, avwc.main_stack[states]).reshape(len(states), k, j_count, -1)
         member_err[chunk] = 1.0 - message_success(main, member_decoders).mean(axis=-1)
         cond = output_law(all_members, avwc.eaves_stack[states]).reshape(len(states), k, j_count, -1)
         member_leak[chunk] = mi_batch(uniform_j, cond)
-        # member identity acts as encoder randomness: p(u, z^n | j) = mean_i p_i(u) p_i(z^n | j)
-        joint = np.einsum("piu,tijz->tpjuz", eaves_prefix_rows, cond) / k
-        leak[:, chunk] = mi_batch(uniform_j, joint.reshape(joint.shape[:3] + (-1,))).T
+        # one payload sequence's joint at a time: (P*U, K) @ (K, Z) per message j, laid out (J, P, U*Z)
+        for t, laws in enumerate(cond, chunk.start):
+            joint = np.matmul(prefix_weights, laws.transpose(1, 0, 2))  # (J, P*U, Z)
+            leak[:, t] = mi_batch(uniform_j, joint.reshape(j_count, len(prefix_states), -1).swapaxes(0, 1))
 
     # every (prefix, payload) pair at once; row-major order is lexicographic
     total = 1.0 - (prefix_success[:, None, :] * (1.0 - member_err)[None, :, :]).mean(axis=2)

@@ -148,6 +148,24 @@ class TestCodeFile:
         assert code == 2
         assert f"(line {line_no})" in err_text
 
+    @pytest.mark.parametrize("kind", ["code", "random-code"])
+    def test_alphabets_above_36_symbols_are_refused_at_parse_time(self, capsys, tmp_path, kind):
+        """serialize_code writes at most 36 symbols, so a larger alphabet is a format error on its line."""
+        if kind == "code":
+            text, parse, line_no = serialize_code(two_message_code()), parse_code, 3
+            argv = ["evaluate", "--code"]
+        else:
+            text, parse, line_no = serialize_random_code(two_copy_random_code()), parse_random_code, 8
+            argv = ["eliminate", "--prefix-len", "1", "--reduced"]
+        path = tmp_path / "wide.txt"
+        path.write_text(text.replace("input_size 2", "input_size 99", 1))
+        with pytest.raises(SpecFormatError, match="input_size must be in") as err:
+            parse(path.read_text())
+        assert err.value.line == line_no
+        code, _, err_text = run(capsys, "code", sample("degraded_pair.avwc"), *argv, str(path))
+        assert code == 2
+        assert f"(line {line_no})" in err_text
+
     def test_random_code_without_members_is_a_format_error(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text(serialize_random_code(two_copy_random_code()).replace("member_count 2", "member_count 0"))

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avwc import (
     AVWC,
@@ -26,7 +28,7 @@ from avwc import (
     leakage_under_product_mixture,
 )
 from avwc import channels
-from avwc.coding import RandomCode, codebook_rates, sequence_table
+from avwc.coding import RandomCode, codebook_rates, output_law, sequence_table
 from avwc.typicality import typical_set
 
 
@@ -343,3 +345,38 @@ def test_secrecy_events_do_not_depend_on_the_chunk_budget(monkeypatch):
     batched = check_secrecy_events(code, avwc, tp, epsilon=0.2)
     monkeypatch.setattr(channels, "_CHUNK_FLOATS", 1)
     assert dataclasses.astuple(check_secrecy_events(code, avwc, tp, epsilon=0.2)) == dataclasses.astuple(batched)
+
+
+def _broadcast_product_output_law(codewords, channels):
+    """output_law as one broadcast product per position, the |B| symbols of each row innermost."""
+    j_count, l_count, n = codewords.shape
+    words = codewords.reshape(j_count * l_count, n)
+    batch = channels.shape[:-3]
+    rows = channels[..., np.arange(n), words, :]
+    law = np.ones(batch + (len(words), 1))
+    for i in range(n):
+        law = (law[..., None] * rows[..., i, None, :]).reshape(batch + (len(words), -1))
+    return law.reshape(batch + (j_count, l_count, -1)).mean(axis=-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    a=st.integers(2, 3),
+    b=st.integers(2, 3),
+    j_count=st.integers(1, 3),
+    l_count=st.integers(1, 3),
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_output_law_is_bit_identical_to_the_broadcast_product(n, a, b, j_count, l_count, batch, seed):
+    """One multiply per output symbol gives the same products in the same order: equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 3, size=batch + (n, a, b)).astype(float)  # exact zeros are common
+    rows[..., 0] += rows.sum(axis=-1) == 0
+    stacks = rows / rows.sum(axis=-1, keepdims=True)
+    codewords = rng.integers(0, a, size=(j_count, l_count, n))
+    got = output_law(codewords, stacks)
+    want = _broadcast_product_output_law(codewords, stacks)
+    assert got.shape == batch + (j_count, b**n)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

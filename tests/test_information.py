@@ -14,7 +14,7 @@ from avwc import (
     kl_divergence,
     mutual_information,
 )
-from avwc.information import mi_batch, mi_from_arrays
+from avwc.information import mi_batch, mi_from_arrays, xlog2x
 
 from conftest import random_channel, random_distribution
 
@@ -178,3 +178,31 @@ def test_mi_batch_rows_match_scalar_and_loop(batch):
         assert values[i] == pytest.approx(mi_from_arrays(p, w), abs=1e-12)
         assert values[i] == pytest.approx(_mi_loop(p.tolist(), w.tolist()), abs=1e-12)
         assert values[i] >= 0.0
+
+
+def _masked_xlog2x(values):
+    """x log2 x with the log taken only where x > 0, written into zeros elsewhere."""
+    logs = np.log2(values, out=np.zeros_like(values), where=values > 0.0)
+    return np.multiply(values, logs, out=logs)
+
+
+_XLOG2X_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 1.0, 1.0 + 2.0**-52, -1e-17, -5e-324]),
+    st.floats(0.0, 1e-307),  # subnormals and the smallest normals
+    st.floats(1e-301, 1e-299),
+    st.floats(-1e-15, 0.0),  # roundoff negatives
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(_XLOG2X_ENTRIES, min_size=1, max_size=24), columns=st.sampled_from([1, 2, 3]))
+def test_xlog2x_equals_the_masked_reference(entries, columns):
+    """Equal to the masked log at every entry; x <= 0 gives +0.0, never -0.0."""
+    values = np.array(entries * columns).reshape(columns, -1)
+    got = xlog2x(values)
+    assert np.array_equal(got, _masked_xlog2x(values))
+    assert not np.signbit(got[got == 0.0]).any()
+    single = xlog2x(entries[0])  # a scalar gives a 0-d array
+    assert single.shape == () and single == _masked_xlog2x(np.array(entries[0]))
+    assert not (single == 0.0 and np.signbit(single))

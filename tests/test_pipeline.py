@@ -30,7 +30,8 @@ from avwc import (
     verify_robustification,
 )
 from avwc import channels, coding, pipeline
-from avwc.coding import RandomCode, sequence_table
+from avwc.channels import index_to_word
+from avwc.coding import RandomCode, first_maximum, sequence_table
 from avwc.pipeline import PermutationFamily, permute_word, type_class_sequences
 
 import bruteforce_reference as brute
@@ -389,9 +390,9 @@ def test_type_averages_never_walk_the_group(monkeypatch, pipeline_avwc, pipeline
 
 
 @st.composite
-def zero_row_families(draw):
-    """One to three random codes of one shape on a family with exact-zero rows: n <= 5, |S| <= 3."""
-    n, s_count = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+def zero_row_families(draw, max_n=5, max_states=3):
+    """One to three random codes of one shape on a family with exact-zero rows: n <= max_n, |S| <= max_states."""
+    n, s_count = draw(st.integers(1, max_n)), draw(st.integers(1, max_states))
     b, c = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     j_count, l_count = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -449,6 +450,29 @@ def test_elimination_member_errors_equal_member_tables(case):
     tables = np.stack([sequence_table(m, avwc, ("error",))["error"] for m in members], axis=1)
     assert np.max(np.abs(member_err - tables)) <= 1e-15
     assert abs(report.worst_mean_member_error - tables.mean(axis=1).max()) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=zero_row_families(max_n=3, max_states=2), prefix_len=st.integers(1, 2))
+def test_elimination_leakage_matches_the_combined_code_at_every_sequence(case, prefix_len):
+    """The payload leakage of every (prefix, payload) pair is the combined code's own leakage there."""
+    members, avwc = case
+    rc = RandomCode(members=members, origin="explicit")
+    prefix_len = max(prefix_len, (len(members) - 1).bit_length())  # K binary prefix words must fit
+    outcome = eliminate_randomness(rc, avwc, prefix_len)
+    report, combined = outcome.report, outcome.code
+    k, (j_count, l_count, n) = rc.member_count(), rc.members[0].codewords.shape
+    # the combined code as a J-message code whose K*L randomizers are the (member, l) pairs
+    words = combined.codewords.reshape(k, j_count, l_count, combined.n).transpose(1, 0, 2, 3)
+    decoder = np.where(combined.decoder == ERASURE, ERASURE, combined.decoder % j_count)
+    payload = make_code(words.reshape(j_count, k * l_count, combined.n), 2, combined.output_size, decoder)
+    table = sequence_table(payload, avwc, ("leakage",))["leakage"]
+    member_mean = np.mean([sequence_table(m, avwc, ("leakage",))["leakage"] for m in rc.members], axis=0)
+    leak = table.reshape(-1, avwc.state_count**n)  # (prefix sequence, payload sequence)
+    worst = first_maximum(table)
+    assert abs(report.worst_payload_leakage - table[worst]) <= 1e-12
+    assert report.worst_leakage_sequence == index_to_word(worst, avwc.state_count, combined.n)
+    assert abs(report.leakage_margin - (member_mean[None, :] - leak).min()) <= 1e-12
 
 
 def _two_member_family(n):
