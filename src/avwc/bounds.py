@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import AVWC, Channel, Distribution, check_enumeration, product_rows_matrix, simplex_grid
+from .channels import AVWC, Channel, Distribution, check_enumeration, output_law, simplex_grid, word_matrix
 from .feasibility import DEFAULT_TOL
 from .information import mi_batch
 from .structure import test_symmetrisable
@@ -114,17 +114,8 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# simplex helpers and the batched line search
+# the batched line search
 # ---------------------------------------------------------------------------
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, len(v) + 1) > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
-
 
 def _line_max(fn: Callable[[np.ndarray], np.ndarray], rows: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Maximize ``rows`` functions of t on [0, 1] at once by a bracket zoom.
@@ -554,13 +545,15 @@ def multiletter_bound(
     denom = max(4, opts.q_grid_denominator // 2) if s_size == 2 else max(2, opts.q_grid_denominator // 4)
     q_points = list(simplex_grid(s_size, denom))
 
-    def products(points: Sequence[np.ndarray], stack: np.ndarray) -> np.ndarray:
-        return np.stack([product_rows_matrix([np.tensordot(q, stack, axes=1)] * n) for q in points])
+    # one batched n-fold law per family: every input word is a codeword, the q's mixture at each letter
+    inputs = word_matrix(a_size, n)[:, None, :]
 
-    y_products = products(q_points, wstack)
-    value, pair, route1 = _max_aux_gap(
-        y_products, products(q_points, vstack), input_count, u_size, opts
-    )
+    def products(stack: np.ndarray) -> np.ndarray:
+        mixed = np.tensordot(np.array(q_points), stack, axes=1)  # (Q, |A|, |B|)
+        return output_law(inputs, np.broadcast_to(mixed[:, None], (len(q_points), n) + mixed.shape[1:]))
+
+    y_products = products(wstack)
+    value, pair, route1 = _max_aux_gap(y_products, products(vstack), input_count, u_size, opts)
     y_info = mi_batch(pair.p_u.probs, pair.x_given_u.rows @ y_products)
 
     return BoundResult(

@@ -4,6 +4,10 @@ Alphabets are index sets 0..k-1 throughout; symbol labels live only in the
 CLI layer.  All probabilities are kept in linear scale.  Words and state sequences are enumerated in
 lexicographic order with the first position most significant, and that order
 is part of the contract between modules.
+
+Every n-fold memoryless law is ``output_law``: a code's output law p(y^n | j),
+the i.i.d. extension q^n and a product channel all multiply (1.0 * r_0) * r_1 * ...
+in that order, so a law is bit for bit the same whichever of them builds it.
 """
 
 from __future__ import annotations
@@ -315,15 +319,32 @@ def product_channel_matrix(family: Sequence[Channel], s) -> Channel:
     a = family[0].input_size
     b = family[0].output_size
     check_enumeration((a ** len(symbols)) * (b ** len(symbols)), "product channel matrix")
-    return Channel(product_rows_matrix([family[si].rows for si in symbols]))
+    stack = np.stack([ch.rows for ch in family])[list(symbols)]
+    return Channel(output_law(word_matrix(a, len(symbols))[:, None, :], stack))
 
 
-def product_rows_matrix(position_rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of per-position stochastic matrices (lexicographic order)."""
-    rows = np.ones((1, 1))
-    for r in position_rows:
-        rows = np.kron(rows, r)
-    return rows
+def output_law(codewords: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """p(y^n | j), averaged over l, as a (..., J, |B|^n) array in lexicographic output order.
+
+    ``codewords`` is a (J, L, n) array and ``channels`` an (..., n, |A|, |B|)
+    stack whose entry i acts at position i; leading axes are a batch of
+    stacks.  All J*L codewords and all stacks advance together: position i
+    multiplies every partial law by the row its codeword selects, one output
+    symbol y at a time, so each multiply runs over a whole partial law
+    instead of |B| entries.
+    """
+    j_count, l_count, n = codewords.shape
+    words = codewords.reshape(j_count * l_count, n)
+    batch = channels.shape[:-3]
+    b = channels.shape[-1]
+    rows = channels[..., np.arange(n), words, :]  # (..., J*L, n, |B|): the row each position selects
+    law = np.ones(batch + (len(words), 1))
+    for i in range(n):
+        grown = np.empty(law.shape + (b,))
+        for y in range(b):
+            np.multiply(law, rows[..., i, y, None], out=grown[..., y])
+        law = grown.reshape(batch + (len(words), -1))
+    return law.reshape(batch + (j_count, l_count, -1)).sum(axis=-2) / l_count  # mean over l, bit for bit
 
 
 def simplex_grid(dim: int, denominator: int) -> Iterator[np.ndarray]:
@@ -350,4 +371,5 @@ def iid_extension(q: Distribution, n: int) -> Distribution:
     if n < 1:
         raise ValueError("extension length must be at least 1")
     check_enumeration(q.support_size**n, "i.i.d. extension")
-    return Distribution(product_rows_matrix([q.probs[None, :]] * n)[0])
+    stack = np.broadcast_to(q.probs, (n, 1, q.support_size))  # q at every position, one input symbol
+    return Distribution(output_law(np.zeros((1, 1, n), dtype=int), stack)[0])

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from .bounds import (
 )
 from .channels import Distribution, enumeration_cap
 from .codefile import parse_code, parse_random_code, serialize_code, serialize_random_code
-from .coding import TypicalityParams, build_random_codebook, check_secrecy_events, evaluate_code
+from .coding import (
+    TypicalityParams,
+    WiretapCode,
+    build_random_codebook,
+    check_secrecy_events,
+    decode_rule,
+    evaluate_code,
+)
 from .errors import (
     AvwcError,
     DegenerateRateError,
@@ -328,10 +336,6 @@ def _load_code(args, optional: bool = False):
 
 def _default_probe_code(avwc, n: int, tp: TypicalityParams):
     """Tiny two-message probe code used when verify-lemmas gets no --code."""
-    from dataclasses import replace
-
-    from .coding import WiretapCode, decode_rule
-
     codewords = np.zeros((2, 1, n), dtype=int)
     codewords[1, 0, :] = min(1, avwc.input_size - 1)
     code = WiretapCode(

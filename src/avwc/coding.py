@@ -5,13 +5,11 @@ randomization index l uniformly) and its decoder as an assignment map from
 output-word index to message index or erasure, which makes decoding sets
 disjoint by representation.
 
-Every exact evaluation runs on one kernel, ``output_law`` (p(y^n | j) for all
-codewords and a batch of channel stacks at once): ``sequence_table`` applies
-it to chunks of state sequences under the working-memory budget of
-``channels.chunks``, and the one-sequence functions are front-ends over it.
-The kernel grows the laws one position at a time with one multiply per
-output symbol, so numpy's inner loops run over whole partial laws rather than
-over the |B| entries of a channel row.
+Every exact evaluation runs on the n-fold law kernel ``channels.output_law``
+(p(y^n | j) for all codewords and a batch of channel stacks at once):
+``sequence_table`` applies it to chunks of state sequences under the
+working-memory budget of ``channels.chunks``, and the one-sequence functions
+are front-ends over it.
 Leakage, I(J; Z^n) with J uniform, is ``information.mi_batch`` on those laws;
 it is never estimated by sampling because sampled mutual-information
 estimates are biased, so oversized instances are refused instead.
@@ -27,6 +25,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .bounds import BoundOptions, min_mi_over_mixtures
 from .channels import (
     AVWC,
     Distribution,
@@ -36,6 +35,7 @@ from .channels import (
     iid_extension,
     index_to_word,
     mixture_channel,
+    output_law,
     sequence_symbols,
     word_matrix,
 )
@@ -129,32 +129,8 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation: one output-law kernel, one state-sequence table
+# exact evaluation: one state-sequence table on the output-law kernel
 # ---------------------------------------------------------------------------
-
-def output_law(codewords: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """p(y^n | j), averaged over l, as a (..., J, |B|^n) array in lexicographic output order.
-
-    ``codewords`` is a (J, L, n) array and ``channels`` an (..., n, |A|, |B|)
-    stack whose entry i acts at position i; leading axes are a batch of
-    stacks.  All J*L codewords and all stacks advance together: position i
-    multiplies every partial law by the row its codeword selects, one output
-    symbol y at a time, so each multiply runs over a whole partial law
-    instead of |B| entries.
-    """
-    j_count, l_count, n = codewords.shape
-    words = codewords.reshape(j_count * l_count, n)
-    batch = channels.shape[:-3]
-    b = channels.shape[-1]
-    rows = channels[..., np.arange(n), words, :]  # (..., J*L, n, |B|): the row each position selects
-    law = np.ones(batch + (len(words), 1))
-    for i in range(n):
-        grown = np.empty(law.shape + (b,))
-        for y in range(b):
-            np.multiply(law, rows[..., i, y, None], out=grown[..., y])
-        law = grown.reshape(batch + (len(words), -1))
-    return law.reshape(batch + (j_count, l_count, -1)).sum(axis=-2) / l_count  # mean over l, bit for bit
-
 
 def message_success(law: np.ndarray, decoder: np.ndarray) -> np.ndarray:
     """p(decoder(Y^n) = j | j) per message j, from a (..., J, |B|^n) law and a (..., |B|^n) decoder."""
@@ -331,8 +307,6 @@ def codebook_rates(
     p: Distribution, avwc: AVWC, n: int, tau: float, opts=None
 ) -> tuple[int, int, float, float]:
     """(J_n, L_n) and the two exponent terms behind them."""
-    from .bounds import BoundOptions, min_mi_over_mixtures
-
     opts = opts or BoundOptions()
     w_min, _ = min_mi_over_mixtures(p.probs, avwc.main_stack, opts)
     v_max = max(mi_from_arrays(p.probs, rows) for rows in avwc.eaves_stack)
@@ -341,9 +315,7 @@ def codebook_rates(
     return math.floor(2.0**j_exponent), math.floor(2.0**l_exponent), j_exponent, l_exponent
 
 
-def sample_codeword_indices(
-    weights: np.ndarray, count: int, seed: int, stream_offset: int = 0
-) -> np.ndarray:
+def sample_codeword_indices(weights: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Counter-based sampling: draw ``count`` indices, one Philox stream each.
 
     Identical seeds reproduce identical draws bit for bit, independent of
@@ -353,9 +325,7 @@ def sample_codeword_indices(
     cdf[-1] = 1.0
     picks = np.empty(count, dtype=int)
     for t in range(count):
-        rng = np.random.Generator(
-            np.random.Philox(key=seed, counter=[0, 0, 0, stream_offset + t])
-        )
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, t]))
         picks[t] = int(np.searchsorted(cdf, rng.random(), side="right"))
     return picks
 

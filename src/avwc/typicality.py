@@ -6,8 +6,9 @@ joint pair frequencies against the channel law the same way.  The slack
 functions feeding the cardinality and pointwise-probability bounds are a
 configuration choice (classical type-counting slack); the verification
 report recomputes every inequality by enumeration and returns raw margins.
-The n-fold word laws are ``channels.iid_extension`` and ``coding.output_law``;
-``cond_typical_mask`` tests a batch of words, and the lemma checks walk them in chunks.
+The n-fold word laws come from ``channels.output_law`` (``iid_extension`` for
+input words); ``cond_typical_mask`` tests a batch of words, and the lemma
+checks walk them in chunks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .channels import (
     check_enumeration,
     chunks,
     iid_extension,
+    output_law,
     word_matrix,
 )
 from .information import entropy_from_array, xlog2x
@@ -107,7 +109,6 @@ def cond_typical_set(w: Channel, x_word, tp: TypicalityParams) -> list[tuple[int
 
 def typical_rows(w: Channel, x_words: np.ndarray, tp: TypicalityParams, outputs: np.ndarray) -> np.ndarray:
     """W^n(y | x) on the y conditionally typical given x, else 0: one row per word of the (m, n) batch."""
-    from .coding import output_law  # coding builds on this module
     stack = np.broadcast_to(w.rows, (tp.n,) + w.rows.shape)
     return output_law(x_words[:, None, :], stack) * cond_typical_mask(w, x_words, tp, outputs)
 

@@ -15,6 +15,7 @@ from avwc import (
     ERASURE,
     PrefixSearchFailureError,
     ReductionFailureError,
+    ResourceLimitError,
     TypicalityParams,
     WiretapCode,
     decode_rule,
@@ -511,6 +512,33 @@ def test_robustify_keeps_the_uniform_law_implicit():
         tracemalloc.stop()
     assert family.member_count() == math.factorial(10)
     assert peak < 2**20
+
+
+def test_robustify_and_reduce_run_past_ten_letters():
+    """The family unranks its members, so 11! of them are never listed and n = 11 is not refused."""
+    rc, avwc = _two_member_family(11)
+    family = robustify(rc.members[0], avwc)
+    assert family.member_count() == math.factorial(11)
+    reduced = reduce_random_code(family, avwc, k_count=4, epsilon=1.0, seed=0)
+    assert reduced.verification.success
+    assert len(reduced.members) == 4
+
+
+def test_permutation_family_refuses_a_length_beyond_the_index_range():
+    """21! members do not fit the int that len() must return; 20! do."""
+    avwc = AVWC(main=(Channel(np.ones((2, 1))),), eaves=(Channel(np.ones((2, 1))),))
+    assert len(robustify(make_code(np.zeros((1, 1, 20)), 2, 1), avwc).members) == math.factorial(20)
+    with pytest.raises(ResourceLimitError, match="21!"):
+        robustify(make_code(np.zeros((1, 1, 21)), 2, 1), avwc)
+
+
+def test_explicit_permutation_mean_is_capped(monkeypatch, pipeline_avwc):
+    """The explicit average walks all n! members: 5! = 120 is above a cap of 100, the type average is not."""
+    code = make_code(np.zeros((2, 1, 5)), 2, 2)
+    monkeypatch.setenv("AVWC_ENUM_CAP", "100")
+    permutation_mean_error(code, pipeline_avwc, (0, 1, 1, 0, 1), method="type")
+    with pytest.raises(ResourceLimitError, match="permutation"):
+        permutation_mean_error(code, pipeline_avwc, (0, 1, 1, 0, 1), method="explicit")
 
 
 def test_chunked_checks_stay_within_the_working_memory_budget():

@@ -14,7 +14,7 @@ from avwc import (
     verify_typicality_bounds,
 )
 from avwc import channels
-from avwc.channels import product_rows_matrix, word_matrix
+from avwc.channels import output_law, word_matrix
 from avwc.typicality import cond_typical_mask, typical_mask
 
 
@@ -141,13 +141,12 @@ def test_batched_cond_mask_and_product_rows_match_plain_loops(case):
     outputs = word_matrix(w.output_size, tp.n)
     batch = cond_typical_mask(w, words, tp, outputs)
     assert batch.shape == (len(words), len(outputs))
-    product = product_rows_matrix([w.rows] * tp.n)
+    laws = output_law(words[:, None, :], np.broadcast_to(w.rows, (tp.n,) + w.rows.shape))
     rows = w.rows.tolist()
-    for x, row in zip(words, batch):
+    for x, row, law in zip(words, batch, laws):
         assert np.array_equal(row, cond_typical_mask(w, x, tp, outputs))
         assert row.tolist() == [_joint_count_mask(rows, x.tolist(), y.tolist(), tp) for y in outputs]
-        x_index = int(x @ w.input_size ** np.arange(tp.n - 1, -1, -1))
-        for y, value in zip(outputs.tolist(), product[x_index]):
+        for y, value in zip(outputs.tolist(), law):
             plain = 1.0
             for xi, yi in zip(x.tolist(), y):
                 plain *= rows[xi][yi]
