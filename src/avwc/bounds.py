@@ -13,11 +13,11 @@ all input laws of a batch at once by pairwise Frank-Wolfe with a zoom line
 search, for every state count above one.  The outer maximization over input
 distributions (and auxiliary channel pairs) is not concave; it is attacked
 with a multi-start ascent along vertex directions, all starts advancing
-together, plus a coarse simplex-grid sweep used as a floor.  The ascent
-starts from the grid's best point, so ``certified_gap`` (the grid's lead over
-the reported value) is zero up to roundoff and certifies nothing.  Negative
-bound values are reported as computed: a rate below zero just means the
-bound is vacuous.
+together, plus a coarse simplex-grid sweep used as a floor.  Every value is
+the best point these optimizers found, with no certificate: a lower bound
+may fall short of its maximum and an upper bound may understate its maximum
+over auxiliary pairs.  Negative bound values are reported as computed: a
+rate below zero just means the bound is vacuous.
 """
 
 from __future__ import annotations
@@ -46,6 +46,18 @@ MAX_SEED = 2**128 - 2
 
 # An objective maps an (N, dim) array of points to their (N,) values.
 Objective = Callable[[np.ndarray], np.ndarray]
+# smallest value of each BoundOptions count that its code can honour
+_COUNT_MINIMUMS = {
+    "starts": 0,
+    "p_grid_denominator": 1,
+    "ascent_iters": 0,
+    "golden_iters": 0,
+    "q_grid_denominator": 1,
+    "outer_q_points": 2,
+    "refine_rounds": 0,
+    "aux_starts": 2,
+    "aux_iters": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,10 @@ class BoundOptions:
     states) or quarters (more) ``q_grid_denominator`` for its grid.
 
     ``seed`` keys the Philox stream of the random starts and ``seed + 1``
-    that of the auxiliary ascent, so it must lie in [0, ``MAX_SEED``].
+    that of the auxiliary ascent, so it must lie in [0, ``MAX_SEED``].  The
+    counts may be 0, except that both grid denominators must be at least 1,
+    ``outer_q_points`` at least 2 (a grid of step 1), and ``aux_starts`` at
+    least 2: the auxiliary ascent always runs its two fixed starts.
     """
 
     starts: int = 32
@@ -84,6 +99,9 @@ class BoundOptions:
     seed: int = 20240
 
     def __post_init__(self):
+        for name, minimum in _COUNT_MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be at least {minimum}, got {getattr(self, name)}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, {MAX_SEED}], got {self.seed}")
 
@@ -102,12 +120,22 @@ class AuxiliaryChannelPair:
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
+    """A bound's value in bits per channel use, with the arguments that reach it.
+
+    ``value`` is an optimizer result, not a certified bound.  ``argmax_p`` is
+    the input law of the outer maximum (the one an auxiliary pair induces for
+    the upper bounds), ``inner_argmin_q`` the state law of the inner minimum
+    and ``inner_argmax_state`` the eavesdropper's worst state, where the bound
+    has one.  ``optimizer_trace`` records how the value was reached.  ``aux``
+    is the auxiliary pair of the upper bounds; ``symmetrisable`` and
+    ``deterministic_value`` are set by ``avc_capacity`` only.
+    """
+
     value: float
     argmax_p: Distribution | None
     inner_argmin_q: Distribution | None
     inner_argmax_state: int | None
     optimizer_trace: tuple
-    certified_gap: float
     aux: AuxiliaryChannelPair | None = None
     symmetrisable: bool | None = None
     deterministic_value: float | None = None
@@ -291,15 +319,11 @@ def maximize_over_simplex(
     ``fn`` maps an (N, dim) array of input laws to their N values.
     """
     denom = opts.p_grid_denominator if dim <= 3 else _COARSE_GRID_DENOMINATOR
-    grid = np.array(list(simplex_grid(dim, denom))).reshape(-1, dim)
-    starts = _default_starts(dim, opts.starts, opts.seed)
-    grid_best, grid_arg = -math.inf, None
-    if len(grid):
-        grid_vals = fn(grid)
-        k = int(np.argmax(grid_vals))
-        grid_best, grid_arg = float(grid_vals[k]), grid[k]
-        starts.insert(0, grid_arg)
-
+    grid = np.array(list(simplex_grid(dim, denom)))
+    grid_vals = fn(grid)
+    k = int(np.argmax(grid_vals))
+    grid_best, grid_arg = float(grid_vals[k]), grid[k]
+    starts = [grid_arg] + _default_starts(dim, opts.starts, opts.seed)
     ps, vals, iters = _ascend(fn, np.array(starts), [slice(0, dim)], opts.ascent_iters, opts)
     trace = [
         {"stage": "ascent", "start": idx, "value": float(val), "iters": int(count)}
@@ -318,25 +342,21 @@ def _max_aux_gap(
     input_count: int,
     u_size: int,
     opts: BoundOptions,
-) -> tuple[float, AuxiliaryChannelPair, float]:
+) -> tuple[float, AuxiliaryChannelPair]:
     """max over (p_u, X|U) of [min_y I(U;Y) - max_z I(U;Z)].
 
     ``y_stack`` (Q, A, B) and ``z_stack`` (R, A, C) hold the candidate
     channels the inner minimum and maximum run over (a single channel each in
-    the single-letter case).  Returns (value, pair, plain-input-route value).
+    the single-letter case).  ``u_size`` must be at least ``input_count``, so
+    that U = X embeds.  Returns (value, pair).
     """
-    if u_size < input_count:
-        raise ValueError("u_size must allow the deterministic U = X embedding")
 
     def gap(pu: np.ndarray, y_rows: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
         pu = pu[:, None, :]
         return mi_batch(pu, y_rows).min(axis=1) - mi_batch(pu, z_rows).max(axis=1)
 
     # route 1: deterministic identity embedding, ascent over the input law only
-    p_best, p_val, p_grid, _ = maximize_over_simplex(
-        lambda px: gap(px, y_stack, z_stack), input_count, opts
-    )
-    route1 = max(p_val, p_grid)
+    p_best, p_val, _, _ = maximize_over_simplex(lambda px: gap(px, y_stack, z_stack), input_count, opts)
 
     # route 2: ascent over p_u and the rows of X|U, flattened into one vector
     def pair_gap(points: np.ndarray) -> np.ndarray:
@@ -356,22 +376,21 @@ def _max_aux_gap(
         ),
     ]
     rng = np.random.Generator(np.random.Philox(key=opts.seed + 1))
-    while len(starts) < max(2, opts.aux_starts):
+    while len(starts) < opts.aux_starts:
         pu = rng.dirichlet(np.ones(u_size))
         rows = [rng.dirichlet(np.ones(input_count)) for _ in range(u_size)]
         starts.append(np.concatenate([pu] + rows))
     points, vals, _ = _ascend(pair_gap, np.array(starts), blocks, opts.aux_iters, opts)
     k = int(np.argmax(vals))
 
-    if route1 >= vals[k]:
-        pair = AuxiliaryChannelPair(u_size, Distribution(embed_pu), Channel(embed_rows))
-        return route1, pair, route1
+    if p_val >= vals[k]:
+        return p_val, AuxiliaryChannelPair(u_size, Distribution(embed_pu), Channel(embed_rows))
     pair = AuxiliaryChannelPair(
         u_size,
         Distribution(points[k, :u_size]),
         Channel(points[k, u_size:].reshape(u_size, input_count)),
     )
-    return float(vals[k]), pair, route1
+    return float(vals[k]), pair
 
 
 def _scan_min_over_q(
@@ -384,7 +403,7 @@ def _scan_min_over_q(
     quarters the step, then probes the pairs of states in turn, moving 1 to 4
     steps of mass either way from the best point so far, until no pair gains.
     """
-    denom = max(1, opts.outer_q_points - 1)
+    denom = opts.outer_q_points - 1
     grid = np.array(list(simplex_grid(s_size, denom)))
     vals = evaluate(grid)
     k = int(np.argmin(vals))
@@ -430,19 +449,16 @@ def secrecy_lower_bound(avwc: AVWC, opts: BoundOptions | None = None) -> BoundRe
         wmin, _ = min_mi_over_mixtures(px, wstack, opts)
         return wmin - mi_batch(px[:, None, :], vstack).max(axis=1)
 
-    best_p, _, grid_best, trace = maximize_over_simplex(objective, avwc.input_size, opts)
+    best_p, _, _, trace = maximize_over_simplex(objective, avwc.input_size, opts)
     wmin, qmin = min_mi_over_mixtures(best_p, wstack, opts)
     vvals = mi_batch(best_p, vstack)
     s_star = int(np.argmax(vvals))
-    value = wmin - float(vvals[s_star])
-    gap = max(0.0, grid_best - value)
     return BoundResult(
-        value=value,
+        value=wmin - float(vvals[s_star]),
         argmax_p=Distribution(best_p),
         inner_argmin_q=Distribution(qmin),
         inner_argmax_state=s_star,
         optimizer_trace=trace,
-        certified_gap=gap,
     )
 
 
@@ -461,7 +477,7 @@ def avc_capacity(
     def objective(px: np.ndarray) -> np.ndarray:
         return min_mi_over_mixtures(px, stack, opts)[0]
 
-    best_p, _, grid_best, trace = maximize_over_simplex(objective, stack.shape[1], opts)
+    best_p, _, _, trace = maximize_over_simplex(objective, stack.shape[1], opts)
     value, qmin = min_mi_over_mixtures(best_p, stack, opts)
     sym = test_symmetrisable(list(main), opts.structure_tol)
     return BoundResult(
@@ -470,7 +486,6 @@ def avc_capacity(
         inner_argmin_q=Distribution(qmin),
         inner_argmax_state=None,
         optimizer_trace=trace,
-        certified_gap=max(0.0, grid_best - value),
         symmetrisable=sym.symmetrisable,
         deterministic_value=0.0 if sym.symmetrisable else value,
     )
@@ -489,7 +504,7 @@ def secrecy_upper_bound_single_letter(
     wstack = avwc.main_stack
     vstack = avwc.eaves_stack
 
-    def at(q: np.ndarray) -> tuple[float, AuxiliaryChannelPair, float]:
+    def at(q: np.ndarray) -> tuple[float, AuxiliaryChannelPair]:
         wq = np.tensordot(q, wstack, axes=1)
         vq = np.tensordot(q, vstack, axes=1)
         return _max_aux_gap(wq[None], vq[None], a_size, u_size, opts)
@@ -497,14 +512,13 @@ def secrecy_upper_bound_single_letter(
     value, q_star, qtrace = _scan_min_over_q(
         lambda qs: np.array([at(q)[0] for q in qs]), avwc.state_count, opts
     )
-    value, pair, route1 = at(q_star)
+    value, pair = at(q_star)
     return BoundResult(
         value=value,
         argmax_p=pair.induced_input(),
         inner_argmin_q=Distribution(q_star),
         inner_argmax_state=None,
         optimizer_trace=qtrace,
-        certified_gap=max(0.0, route1 - value),
         aux=pair,
     )
 
@@ -522,10 +536,11 @@ def multiletter_bound(
     products of the mixture channels with one shared q per letter.  Both
     inner extremes run over a coarse grid of q: the minimum over a sub-grid
     is never below the true minimum and the maximum never above the true
-    maximum, so the reported value never understates the objective's maximum
-    over U.  ``inner_argmin_q`` is the grid point q that minimizes the
-    legitimate receiver's term I(U;Y^n_q) at the final auxiliary pair, the
-    minimum the value uses.
+    maximum, so at each auxiliary pair the grid objective is never below the
+    exact one.  The maximum over U is a heuristic ascent, so the reported
+    value may still understate the bound.  ``inner_argmin_q`` is the grid
+    point q that minimizes the legitimate receiver's term I(U;Y^n_q) at the
+    final auxiliary pair, the minimum the value uses.
     """
     opts = opts or BoundOptions()
     if n < 1:
@@ -553,7 +568,7 @@ def multiletter_bound(
         return output_law(inputs, np.broadcast_to(mixed[:, None], (len(q_points), n) + mixed.shape[1:]))
 
     y_products = products(wstack)
-    value, pair, route1 = _max_aux_gap(y_products, products(vstack), input_count, u_size, opts)
+    value, pair = _max_aux_gap(y_products, products(vstack), input_count, u_size, opts)
     y_info = mi_batch(pair.p_u.probs, pair.x_given_u.rows @ y_products)
 
     return BoundResult(
@@ -562,6 +577,5 @@ def multiletter_bound(
         inner_argmin_q=Distribution(q_points[int(np.argmin(y_info))]),
         inner_argmax_state=None,
         optimizer_trace=({"stage": "multi-letter", "n": n, "q_points": len(q_points)},),
-        certified_gap=max(0.0, (route1 - value) / n),
         aux=pair,
     )

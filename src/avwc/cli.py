@@ -77,11 +77,7 @@ def _digest(path: str) -> str:
 
 
 def _bound_block(tag: str, result) -> dict:
-    block = {
-        "tag": tag,
-        "value_bits_per_use": result.value,
-        "certified_gap": result.certified_gap,
-    }
+    block = {"tag": tag, "value_bits_per_use": result.value}
     if result.argmax_p is not None:
         block["argmax_p"] = _vector(result.argmax_p.probs)
     if result.inner_argmin_q is not None:
@@ -220,9 +216,7 @@ def cmd_code(args) -> dict:
         return results
 
     if args.subaction == "evaluate":
-        report = evaluate_code(
-            code, avwc, mode=args.mode, seed=args.seed, keep_table=bool(args.table)
-        )
+        report = evaluate_code(code, avwc, keep_table=bool(args.table))
         results["worst_state_error"] = report.worst_state_error
         results["worst_error_sequence"] = list(report.worst_state_sequence.symbols)
         results["worst_leakage_bits"] = report.worst_leakage_bits
@@ -440,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--code", default=None, help="code file produced by 'build'")
     p_code.add_argument("--reduced", default=None, help="random-code file produced by 'reduce'")
     p_code.add_argument("--out", default=None, help="write the resulting code here")
-    p_code.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_code.add_argument("--table", default=None, help="write per-sequence metrics as CSV")
     p_code.add_argument("--k", type=_int_at_least(1), default=None, help="reduced family size")
     p_code.add_argument("--epsilon", type=_positive_float, default=0.25)

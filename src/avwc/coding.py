@@ -215,67 +215,40 @@ def first_maximum(values: np.ndarray) -> int:
     return int(np.flatnonzero(flat >= flat.max() - TIE_TOL)[0])
 
 
-def _sampled_error(code: WiretapCode, avwc: AVWC, symbols, samples: int, seed: int, counter: int) -> float:
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, counter]))
-    js = rng.integers(0, code.j_count, size=samples)
-    ls = rng.integers(0, code.l_count, size=samples)
-    errors = 0
-    b = avwc.main_output_size
-    for j, l in zip(js, ls):
-        word_index = 0
-        for i, si in enumerate(symbols):
-            row = avwc.main_stack[si][code.codewords[j, l, i]]
-            word_index = word_index * b + rng.choice(b, p=row)
-        if code.decoder[word_index] != j:
-            errors += 1
-    return errors / samples
-
-
 def evaluate_code(
     code: WiretapCode,
     avwc: AVWC,
-    mode: Literal["exhaustive", "sampled"] = "exhaustive",
     objectives: Sequence[str] = ("error", "leakage"),
     keep_table: bool = False,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> EvalReport:
-    """Worst-case error and leakage over all state sequences.
+    """Exact worst-case error and/or leakage over all state sequences.
 
-    Exhaustive mode enumerates every state sequence and every output word;
-    the worst sequence is the lexicographically first one whose value lies
-    within ``TIE_TOL`` (1e-12) of the maximum, reported with its own value.
-    Sampled mode Monte-Carlo estimates the error only; leakage is exact or
-    the call is refused, never sampled.
+    Every state sequence and every output word is enumerated, or the call is
+    refused under the enumeration cap; nothing is estimated by sampling.  The
+    worst sequence of each objective in ``objectives`` is the
+    lexicographically first one whose value lies within ``TIE_TOL`` (1e-12)
+    of the maximum, reported with its own value.  ``keep_table`` keeps the
+    per-sequence (sequence, error, leakage) rows, None for an objective not
+    requested.
     """
     _check_alphabets(code, avwc)
     n = code.n
     s_count = avwc.state_count
     check_enumeration(s_count**n, "state sequence enumeration")
-    want_error = "error" in objectives
-    want_leakage = "leakage" in objectives
-    if want_error and mode == "exhaustive":
+    if "error" in objectives:
         check_enumeration(
             s_count**n * avwc.main_output_size**n * code.j_count * code.l_count,
             "exhaustive error evaluation",
         )
-    if want_leakage:
+    if "leakage" in objectives:
         check_enumeration(
             s_count**n * avwc.eaves_output_size**n * code.j_count * code.l_count,
             "exact leakage evaluation (sampling is refused: sampled mutual-information "
             "estimates are biased)",
         )
-
-    exact = {"error": want_error and mode == "exhaustive", "leakage": want_leakage}
-    table = sequence_table(code, avwc, [name for name, wanted in exact.items() if wanted])
+    columns = ("error", "leakage")
+    table = sequence_table(code, avwc, [name for name in columns if name in objectives])
     words = word_matrix(s_count, n)
-    if want_error and mode == "sampled":
-        table["error"] = np.array(
-            [
-                _sampled_error(code, avwc, symbols, samples, seed, counter)
-                for counter, symbols in enumerate(words.tolist())
-            ]
-        )
 
     def worst(name: str):
         if name not in table:
@@ -288,8 +261,8 @@ def evaluate_code(
     per_sequence = None
     if keep_table:
         sequences = [StateSequence(symbols, s_count) for symbols in words.tolist()]
-        columns = [table[name].tolist() if name in table else [None] * len(words) for name in exact]
-        per_sequence = tuple(zip(sequences, *columns))
+        values = [table[name].tolist() if name in table else [None] * len(words) for name in columns]
+        per_sequence = tuple(zip(sequences, *values))
     return EvalReport(
         worst_state_error=worst_error,
         worst_state_sequence=worst_error_seq,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -258,6 +259,14 @@ class TestCommands:
         upper = results["secrecy_upper_bound_single_letter"]["value_bits_per_use"]
         assert abs(upper - lower) <= 5e-3
         assert results["gap_upper_minus_lower"] == pytest.approx(upper - lower)
+        # bound values are optimizer results: nothing is reported as certified
+        assert "certified_gap" not in out
+
+    def test_evaluate_has_no_sampled_mode(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["code", sample("degraded_pair.avwc"), "evaluate", "--mode", "sampled"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --mode sampled" in capsys.readouterr().err
 
     def test_bounds_deterministic_results_block(self, capsys):
         argv = ("bounds", sample("single_bsc.avwc"), "--starts", "4", "--seed", "11", "--format", "json")
@@ -534,3 +543,22 @@ class TestCommands:
         for line in lines[1:]:
             _, err, leak = line.split(",")
             assert 0.0 <= float(err) <= 1.0 and float(leak) >= 0.0
+
+
+@pytest.mark.parametrize("command", ["structure", "bounds"])
+def test_readme_synopsis_lists_every_option(command):
+    """README's command-line synopsis names every option of the subcommand."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    synopsis = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    line = next(line for line in synopsis.splitlines() if line.startswith(f"avwc {command} "))
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [
+        option
+        for action in subparsers.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    ]
+    assert options
+    missing = [option for option in options if f"[{option}" not in line]
+    assert not missing, f"README synopsis of 'avwc {command}' lacks {missing}"

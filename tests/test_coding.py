@@ -158,23 +158,12 @@ class TestEvaluateCode:
         report = evaluate_code(code, avwc)
         assert report.worst_state_sequence.symbols == (1, 1, 1)
 
-    def test_sampled_error_close_to_exact(self):
-        avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
-        code = make_code([[[0] * 4], [[1] * 4]], 2, 2)
-        code = replace(code, decoder=decode_rule(code, avwc, TypicalityParams(4, 0.3)))
-        exact = evaluate_code(code, avwc, objectives=("error",))
-        sampled = evaluate_code(
-            code, avwc, mode="sampled", objectives=("error",), samples=4000, seed=11
-        )
-        sigma = math.sqrt(exact.worst_state_error * (1 - exact.worst_state_error) / 4000)
-        assert abs(sampled.worst_state_error - exact.worst_state_error) <= 4 * sigma + 1e-9
-
     def test_leakage_refused_when_too_big_instead_of_sampled(self, monkeypatch):
         avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
         code = make_code([[[0] * 4], [[1] * 4]], 2, 2)
         monkeypatch.setenv("AVWC_ENUM_CAP", "30")
         with pytest.raises(ResourceLimitError, match="leakage"):
-            evaluate_code(code, avwc, mode="sampled")
+            evaluate_code(code, avwc, objectives=("leakage",))
 
 
 class TestWorstStateSearch:
