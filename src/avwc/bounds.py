@@ -22,6 +22,7 @@ rate below zero just means the bound is vacuous.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -504,15 +505,18 @@ def secrecy_upper_bound_single_letter(
     wstack = avwc.main_stack
     vstack = avwc.eaves_stack
 
-    def at(q: np.ndarray) -> tuple[float, AuxiliaryChannelPair]:
+    # the probe rounds revisit scanned points, and q_star is one of them
+    @functools.cache
+    def at(key: tuple[float, ...]) -> tuple[float, AuxiliaryChannelPair]:
+        q = np.array(key)
         wq = np.tensordot(q, wstack, axes=1)
         vq = np.tensordot(q, vstack, axes=1)
         return _max_aux_gap(wq[None], vq[None], a_size, u_size, opts)
 
     value, q_star, qtrace = _scan_min_over_q(
-        lambda qs: np.array([at(q)[0] for q in qs]), avwc.state_count, opts
+        lambda qs: np.array([at(tuple(q))[0] for q in qs]), avwc.state_count, opts
     )
-    value, pair = at(q_star)
+    value, pair = at(tuple(q_star))
     return BoundResult(
         value=value,
         argmax_p=pair.induced_input(),

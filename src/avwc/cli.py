@@ -2,9 +2,12 @@
 
 Subcommands map one-to-one onto the library operations: ``structure`` runs
 the symmetrisability and best-eavesdropper tests, ``bounds`` evaluates the
-secrecy-capacity bounds, and ``code`` drives the construction pipeline
-(build, evaluate, robustify, reduce, eliminate, verify-lemmas).  Reports are
-emitted as JSON or aligned text; the results block is a pure function of
+secrecy-capacity bounds, and ``code`` drives the construction pipeline.  Each
+``code`` stage (build, evaluate, robustify, reduce, eliminate, verify-lemmas)
+is a subparser of its own that declares only the flags its handler reads, so
+any other flag is a usage error.  Reports are emitted as JSON or aligned
+text; the top-level ``seed`` is the seed the command used (``null`` for the
+commands that draw nothing), and the results block is a pure function of
 (spec file, flags, seed), so repeated runs are byte-identical there.
 
 Exit codes: 0 success, 2 parse error, 3 resource limit, 4 numeric or
@@ -43,15 +46,7 @@ from .coding import (
     decode_rule,
     evaluate_code,
 )
-from .errors import (
-    AvwcError,
-    DegenerateRateError,
-    NumericFailureError,
-    PrefixSearchFailureError,
-    ReductionFailureError,
-    ResourceLimitError,
-    SpecFormatError,
-)
+from .errors import AvwcError, ResourceLimitError, SpecFormatError
 from .pipeline import (
     eliminate_randomness,
     reduce_random_code,
@@ -90,8 +85,7 @@ def _bound_block(tag: str, result) -> dict:
     return block
 
 
-def cmd_structure(args) -> dict:
-    spec = load_spec(args.spec)
+def cmd_structure(args, spec) -> dict:
     sym = test_symmetrisable(list(spec.avwc.main), args.tol)
     best = find_best_eaves_channel(list(spec.avwc.eaves), args.tol)
     results: dict = {"tag": "structure"}
@@ -118,25 +112,21 @@ def cmd_structure(args) -> dict:
     return results
 
 
-def _bound_options(args) -> BoundOptions:
-    kwargs = {}
-    if getattr(args, "grid", None) is not None:
-        kwargs["p_grid_denominator"] = args.grid
-    if getattr(args, "starts", None) is not None:
-        kwargs["starts"] = args.starts
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return BoundOptions(**kwargs)
-
-
-def cmd_bounds(args) -> dict:
-    spec = load_spec(args.spec)
-    opts = _bound_options(args)
+def cmd_bounds(args, spec) -> dict:
+    opts = BoundOptions(p_grid_denominator=args.grid, starts=args.starts, seed=args.seed)
     results: dict = {"tag": "bounds"}
     lower = secrecy_lower_bound(spec.avwc, opts)
-    results["secrecy_lower_bound"] = _bound_block("secrecy-lower-bound", lower)
+    lower_block = _bound_block("secrecy-lower-bound", lower)
+    results["secrecy_lower_bound"] = lower_block
     cap = avc_capacity(list(spec.avwc.main), opts)
     results["main_avc_capacity"] = _bound_block("main-avc-capacity", cap)
+    # the paper's dichotomy: deterministic codes reach nothing over a symmetrisable main AVC;
+    # its lower bound is proved only when a best eavesdropper channel exists
+    deterministic_lower = 0.0 if cap.symmetrisable else lower.value
+    lower_block["deterministic_value_bits_per_use"] = deterministic_lower
+    lower_block["best_eavesdropper_channel_exists"] = find_best_eaves_channel(
+        list(spec.avwc.eaves), opts.structure_tol
+    ).exists
     upper = secrecy_upper_bound_single_letter(spec.avwc, args.u_size, opts)
     results["secrecy_upper_bound_single_letter"] = _bound_block(
         "secrecy-upper-bound-single-letter", upper
@@ -147,24 +137,8 @@ def cmd_bounds(args) -> dict:
         block["n"] = args.n
         results["multi_letter_bound"] = block
     results["gap_upper_minus_lower"] = upper.value - lower.value
+    results["gap_upper_minus_deterministic_lower"] = upper.value - deterministic_lower
     return results
-
-
-def _estimate_sizes(spec, n: int) -> dict:
-    a, b, c, s = (
-        spec.avwc.input_size,
-        spec.avwc.main_output_size,
-        spec.avwc.eaves_output_size,
-        spec.avwc.state_count,
-    )
-    return {
-        "block_length": n,
-        "input_words": a**n,
-        "main_output_words": b**n,
-        "eaves_output_words": c**n,
-        "state_sequences": s**n,
-        "enumeration_cap": enumeration_cap(),
-    }
 
 
 def _input_distribution(spec, name: str | None) -> Distribution:
@@ -178,154 +152,160 @@ def _input_distribution(spec, name: str | None) -> Distribution:
     return dist
 
 
-def cmd_code(args) -> dict:
-    spec = load_spec(args.spec)
-    avwc = spec.avwc
-    results: dict = {"tag": f"code-{args.subaction}"}
+def _read(path: str, parse):
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse(handle.read())
 
-    # load the staged input file once, then announce the enumeration sizes
-    # before any heavy work starts
-    if args.subaction in ("evaluate", "robustify", "reduce"):
-        code = _load_code(args)
-        block_length = code.n
-    elif args.subaction == "eliminate":
-        if not args.reduced:
-            raise SpecFormatError("'eliminate' needs --reduced with a random-code file")
-        with open(args.reduced, "r", encoding="utf-8") as handle:
-            reduced = parse_random_code(handle.read())
-        block_length = args.prefix_len + reduced.members[0].n
-    else:
-        block_length = args.n
-    sizes = _estimate_sizes(spec, block_length)
+
+def _write(results: dict, path: str | None, text) -> None:
+    """Write ``text()`` to ``path``, if one is given, and name the file in the results."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text())
+        results["code_file"] = os.path.basename(path)
+
+
+def _stage_results(args, spec, n: int) -> dict:
+    """Open a code stage's results block with the enumeration sizes at block length ``n``,
+    also printed to stderr before any heavy work starts."""
+    avwc = spec.avwc
+    sizes = {
+        "block_length": n,
+        "input_words": avwc.input_size**n,
+        "main_output_words": avwc.main_output_size**n,
+        "eaves_output_words": avwc.eaves_output_size**n,
+        "state_sequences": avwc.state_count**n,
+        "enumeration_cap": enumeration_cap(),
+    }
     print(
         "size estimate: " + ", ".join(f"{key}={value}" for key, value in sizes.items()),
         file=sys.stderr,
     )
-    results["size_estimate"] = sizes
+    return {"tag": f"code-{args.stage}", "size_estimate": sizes}
 
-    if args.subaction == "build":
-        p = _input_distribution(spec, args.p)
-        code = build_random_codebook(p, avwc, args.n, args.tau, args.seed, args.delta)
-        results["message_count"] = code.j_count
-        results["randomizer_count"] = code.l_count
-        results["block_length"] = code.n
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(serialize_code(code))
-            results["code_file"] = os.path.basename(args.out)
-        return results
 
-    if args.subaction == "evaluate":
-        report = evaluate_code(code, avwc, keep_table=bool(args.table))
-        results["worst_state_error"] = report.worst_state_error
-        results["worst_error_sequence"] = list(report.worst_state_sequence.symbols)
-        results["worst_leakage_bits"] = report.worst_leakage_bits
-        results["worst_leakage_sequence"] = list(report.worst_leakage_sequence.symbols)
-        if args.table:
-            with open(args.table, "w", encoding="utf-8") as handle:
-                handle.write("state_sequence,error,leakage_bits\n")
-                for seq, err, leak in report.per_sequence:
-                    symbols = "".join(str(s) for s in seq.symbols)
-                    handle.write(f"{symbols},{err!r},{leak!r}\n")
-            results["table_file"] = os.path.basename(args.table)
-        return results
+def cmd_build(args, spec) -> dict:
+    """draw a random wiretap codebook"""
+    results = _stage_results(args, spec, args.n)
+    p = _input_distribution(spec, args.p)
+    code = build_random_codebook(p, spec.avwc, args.n, args.tau, args.seed, args.delta)
+    results["message_count"] = code.j_count
+    results["randomizer_count"] = code.l_count
+    results["block_length"] = code.n
+    _write(results, args.out, lambda: serialize_code(code))
+    return results
 
-    if args.subaction == "robustify":
-        family = robustify(code, avwc)
-        report = verify_robustification(code, avwc)
-        results["family_size"] = family.member_count()
-        results["gamma"] = report.gamma
-        results["min_slack"] = report.min_slack
-        results["bound_coefficient"] = report.bound_coefficient
-        results["robustification_holds"] = report.passed
-        return results
 
-    if args.subaction == "reduce":
-        family = robustify(code, avwc)
-        reduced = reduce_random_code(
-            family, avwc, k_count=args.k, epsilon=args.epsilon, seed=args.seed
-        )
-        ver = reduced.verification
-        results["k_count"] = ver.k_count
-        results["epsilon"] = ver.epsilon
-        results["attempts"] = ver.attempts
-        results["worst_mean_error"] = ver.worst_mean_error
-        results["worst_mean_leakage"] = ver.worst_mean_leakage
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(serialize_random_code(reduced))
-            results["code_file"] = os.path.basename(args.out)
-        return results
+def cmd_evaluate(args, spec) -> dict:
+    """exact worst-case error and leakage of a code"""
+    code = _read(args.code, parse_code)
+    results = _stage_results(args, spec, code.n)
+    report = evaluate_code(code, spec.avwc, keep_table=bool(args.table))
+    results["worst_state_error"] = report.worst_state_error
+    results["worst_error_sequence"] = list(report.worst_state_sequence.symbols)
+    results["worst_leakage_bits"] = report.worst_leakage_bits
+    results["worst_leakage_sequence"] = list(report.worst_leakage_sequence.symbols)
+    if args.table:
+        with open(args.table, "w", encoding="utf-8") as handle:
+            handle.write("state_sequence,error,leakage_bits\n")
+            for seq, err, leak in report.per_sequence:
+                symbols = "".join(str(s) for s in seq.symbols)
+                handle.write(f"{symbols},{err!r},{leak!r}\n")
+        results["table_file"] = os.path.basename(args.table)
+    return results
 
-    if args.subaction == "eliminate":
-        outcome = eliminate_randomness(reduced, avwc, args.prefix_len)
-        rep = outcome.report
-        results["prefix_len"] = rep.prefix_len
-        results["k_count"] = rep.k_count
-        results["worst_total_error"] = rep.worst_total_error
-        results["worst_prefix_error"] = rep.worst_prefix_error
-        results["worst_mean_member_error"] = rep.worst_mean_member_error
-        results["error_decomposition_margin"] = rep.error_decomposition_margin
-        results["worst_payload_leakage_bits"] = rep.worst_payload_leakage
-        results["worst_mean_member_leakage_bits"] = rep.worst_mean_member_leakage
-        results["leakage_margin"] = rep.leakage_margin
-        results["checks_pass"] = rep.passed
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(serialize_code(outcome.code))
-            results["code_file"] = os.path.basename(args.out)
-        return results
 
-    if args.subaction == "verify-lemmas":
-        p = _input_distribution(spec, args.p)
-        tp = TypicalityParams(args.n, args.delta)
-        channel_reports = []
-        all_pass = True
-        for label, family in (("main", avwc.main), ("eaves", avwc.eaves)):
-            for state, channel in enumerate(family):
-                rep = verify_typicality_bounds(p, channel, tp)
-                channel_reports.append(
-                    {
-                        "family": label,
-                        "state": spec.state_names[state],
-                        "passed": rep.passed,
-                        "input_margin": rep.input_margin,
-                        "conditional_margin": rep.cond_margin,
-                        "cardinality_margin": rep.alpha_margin,
-                        "pointwise_margin": rep.beta_margin,
-                    }
-                )
-                all_pass &= rep.passed
-        results["typicality_checks"] = channel_reports
-        code = _load_code(args, optional=True)
-        if code is None:
-            code = _default_probe_code(avwc, args.n, tp)
-        rob = verify_robustification(code, avwc)
-        results["robustification"] = {
-            "gamma": rob.gamma,
-            "min_slack": rob.min_slack,
-            "holds": rob.passed,
+def cmd_robustify(args, spec) -> dict:
+    """check the robustification inequality of a code's permutation family"""
+    code = _read(args.code, parse_code)
+    results = _stage_results(args, spec, code.n)
+    family = robustify(code, spec.avwc)
+    report = verify_robustification(code, spec.avwc)
+    results["family_size"] = family.member_count()
+    results["gamma"] = report.gamma
+    results["min_slack"] = report.min_slack
+    results["bound_coefficient"] = report.bound_coefficient
+    results["robustification_holds"] = report.passed
+    return results
+
+
+def cmd_reduce(args, spec) -> dict:
+    """reduce a code's permutation family to k random members"""
+    code = _read(args.code, parse_code)
+    results = _stage_results(args, spec, code.n)
+    family = robustify(code, spec.avwc)
+    reduced = reduce_random_code(
+        family, spec.avwc, k_count=args.k, epsilon=args.epsilon, seed=args.seed
+    )
+    ver = reduced.verification
+    results["k_count"] = ver.k_count
+    results["epsilon"] = ver.epsilon
+    results["attempts"] = ver.attempts
+    results["worst_mean_error"] = ver.worst_mean_error
+    results["worst_mean_leakage"] = ver.worst_mean_leakage
+    _write(results, args.out, lambda: serialize_random_code(reduced))
+    return results
+
+
+def cmd_eliminate(args, spec) -> dict:
+    """replace a reduced random code's shared randomness by a prefix code"""
+    reduced = _read(args.reduced, parse_random_code)
+    results = _stage_results(args, spec, args.prefix_len + reduced.members[0].n)
+    outcome = eliminate_randomness(reduced, spec.avwc, args.prefix_len)
+    rep = outcome.report
+    results["prefix_len"] = rep.prefix_len
+    results["k_count"] = rep.k_count
+    results["worst_total_error"] = rep.worst_total_error
+    results["worst_prefix_error"] = rep.worst_prefix_error
+    results["worst_mean_member_error"] = rep.worst_mean_member_error
+    results["error_decomposition_margin"] = rep.error_decomposition_margin
+    results["worst_payload_leakage_bits"] = rep.worst_payload_leakage
+    results["worst_mean_member_leakage_bits"] = rep.worst_mean_member_leakage
+    results["leakage_margin"] = rep.leakage_margin
+    results["checks_pass"] = rep.passed
+    _write(results, args.out, lambda: serialize_code(outcome.code))
+    return results
+
+
+def cmd_verify_lemmas(args, spec) -> dict:
+    """check the typicality lemmas and robustification exhaustively"""
+    avwc = spec.avwc
+    results = _stage_results(args, spec, args.n)
+    p = _input_distribution(spec, args.p)
+    tp = TypicalityParams(args.n, args.delta)
+    channel_reports = []
+    all_pass = True
+    for label, family in (("main", avwc.main), ("eaves", avwc.eaves)):
+        for state, channel in enumerate(family):
+            rep = verify_typicality_bounds(p, channel, tp)
+            channel_reports.append(
+                {
+                    "family": label,
+                    "state": spec.state_names[state],
+                    "passed": rep.passed,
+                    "input_margin": rep.input_margin,
+                    "conditional_margin": rep.cond_margin,
+                    "cardinality_margin": rep.alpha_margin,
+                    "pointwise_margin": rep.beta_margin,
+                }
+            )
+            all_pass &= rep.passed
+    results["typicality_checks"] = channel_reports
+    code = _read(args.code, parse_code) if args.code else _default_probe_code(avwc, args.n, tp)
+    rob = verify_robustification(code, avwc)
+    results["robustification"] = {
+        "gamma": rob.gamma,
+        "min_slack": rob.min_slack,
+        "holds": rob.passed,
+    }
+    if args.secrecy_events:
+        events = check_secrecy_events(code, avwc, tp, p=p)
+        results["secrecy_events"] = {
+            "epsilon": events.epsilon,
+            "all_hold": events.all_hold,
         }
-        if args.secrecy_events:
-            events = check_secrecy_events(code, avwc, tp, p=p)
-            results["secrecy_events"] = {
-                "epsilon": events.epsilon,
-                "all_hold": events.all_hold,
-            }
-        results["all_checks_pass"] = bool(all_pass and rob.passed)
-        return results
-
-    raise SpecFormatError(f"unknown code subaction {args.subaction!r}")
-
-
-def _load_code(args, optional: bool = False):
-    path = getattr(args, "code", None)
-    if path is None:
-        if optional:
-            return None
-        raise SpecFormatError("this subaction needs --code with a code file")
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_code(handle.read())
+    results["all_checks_pass"] = bool(all_pass and rob.passed)
+    return results
 
 
 def _default_probe_code(avwc, n: int, tp: TypicalityParams):
@@ -392,6 +372,34 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# the flags of the code stages; a stage declares only those its handler reads
+_CODE_FLAGS = {
+    "--n": dict(type=_int_at_least(1), default=4),
+    "--tau": dict(type=_positive_float, default=0.1),
+    "--delta": dict(type=_positive_float, default=0.2),
+    "--seed": dict(type=_int_at_least(0, _CODE_MAX_SEED), default=0),
+    "--p": dict(help="named input distribution from the spec file"),
+    "--code": dict(help="code file produced by 'build'"),
+    "--reduced": dict(help="random-code file produced by 'reduce'"),
+    "--out": dict(help="write the resulting code here"),
+    "--table": dict(help="write per-sequence metrics as CSV"),
+    "--k": dict(type=_int_at_least(1), help="reduced family size"),
+    "--epsilon": dict(type=_positive_float, default=0.25),
+    "--prefix-len": dict(type=_int_at_least(0), default=4),
+    "--secrecy-events": dict(action="store_true"),
+}
+
+# stage -> (handler, the flags it reads); "!" marks a required flag
+_CODE_STAGES = {
+    "build": (cmd_build, "--n --tau --delta --seed --p --out"),
+    "evaluate": (cmd_evaluate, "--code! --table"),
+    "robustify": (cmd_robustify, "--code!"),
+    "reduce": (cmd_reduce, "--code! --k --epsilon --seed --out"),
+    "eliminate": (cmd_eliminate, "--reduced! --prefix-len --out"),
+    "verify-lemmas": (cmd_verify_lemmas, "--n --delta --p --code --secrecy-events"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avwc",
@@ -405,53 +413,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_structure.add_argument("spec")
     p_structure.add_argument("--tol", type=float, default=1e-8)
     p_structure.add_argument("--format", choices=("json", "text"), default="text")
-    p_structure.set_defaults(handler=cmd_structure, seed=None)
+    p_structure.set_defaults(handler=cmd_structure)
 
+    defaults = BoundOptions()
     p_bounds = sub.add_parser("bounds", help="secrecy-capacity bounds")
     p_bounds.add_argument("spec")
-    p_bounds.add_argument("--grid", type=_int_at_least(1), default=None, help="simplex grid denominator")
-    p_bounds.add_argument("--starts", type=_int_at_least(1), default=None, help="ascent multi-start count")
+    p_bounds.add_argument(
+        "--grid", type=_int_at_least(1), default=defaults.p_grid_denominator, help="simplex grid denominator"
+    )
+    p_bounds.add_argument(
+        "--starts", type=_int_at_least(1), default=defaults.starts, help="ascent multi-start count"
+    )
     p_bounds.add_argument("--u-size", dest="u_size", type=_int_at_least(1), default=None)
     p_bounds.add_argument(
         "--n", type=_int_at_least(0), default=0, help="also evaluate the n-letter bound (0 skips it)"
     )
     p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=_int_at_least(1), default=None)
-    p_bounds.add_argument("--seed", type=_int_at_least(0, MAX_SEED), default=None)
+    p_bounds.add_argument("--seed", type=_int_at_least(0, MAX_SEED), default=defaults.seed)
     p_bounds.add_argument("--format", choices=("json", "text"), default="text")
     p_bounds.set_defaults(handler=cmd_bounds)
 
     p_code = sub.add_parser("code", help="code construction pipeline")
     p_code.add_argument("spec")
-    p_code.add_argument(
-        "subaction",
-        choices=("build", "evaluate", "robustify", "reduce", "eliminate", "verify-lemmas"),
-    )
-    p_code.add_argument("--n", type=_int_at_least(1), default=4)
-    p_code.add_argument("--tau", type=_positive_float, default=0.1)
-    p_code.add_argument("--delta", type=_positive_float, default=0.2)
-    p_code.add_argument("--seed", type=_int_at_least(0, _CODE_MAX_SEED), default=0)
-    p_code.add_argument("--p", default=None, help="named input distribution from the spec file")
-    p_code.add_argument("--code", default=None, help="code file produced by 'build'")
-    p_code.add_argument("--reduced", default=None, help="random-code file produced by 'reduce'")
-    p_code.add_argument("--out", default=None, help="write the resulting code here")
-    p_code.add_argument("--table", default=None, help="write per-sequence metrics as CSV")
-    p_code.add_argument("--k", type=_int_at_least(1), default=None, help="reduced family size")
-    p_code.add_argument("--epsilon", type=_positive_float, default=0.25)
-    p_code.add_argument("--prefix-len", dest="prefix_len", type=_int_at_least(0), default=4)
-    p_code.add_argument("--secrecy-events", dest="secrecy_events", action="store_true")
-    p_code.add_argument("--format", choices=("json", "text"), default="text")
-    p_code.set_defaults(handler=cmd_code)
+    stages = p_code.add_subparsers(dest="stage", required=True)
+    for name, (handler, flags) in _CODE_STAGES.items():
+        p_stage = stages.add_parser(name, help=handler.__doc__)
+        for flag in flags.split():
+            option = flag.rstrip("!")
+            p_stage.add_argument(option, required=flag.endswith("!"), **_CODE_FLAGS[option])
+        p_stage.add_argument("--format", choices=("json", "text"), default="text")
+        p_stage.set_defaults(handler=handler)
     return parser
 
 
-_EXIT_BY_ERROR = (
-    (SpecFormatError, 2),
-    (ResourceLimitError, 3),
-    (NumericFailureError, 4),
-    (ReductionFailureError, 4),
-    (PrefixSearchFailureError, 4),
-    (DegenerateRateError, 4),
-)
+# the first matching entry wins
+_EXIT_BY_ERROR = ((SpecFormatError, 2), (ResourceLimitError, 3), ((ValueError, AvwcError, OSError), 4))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -460,15 +456,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        results = args.handler(args)
+        results = args.handler(args, load_spec(args.spec))
     except Exception as exc:  # noqa: BLE001 - exit-code mapping below
         for err_type, code in _EXIT_BY_ERROR:
             if isinstance(exc, err_type):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
-        if isinstance(exc, (ValueError, AvwcError, OSError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
         raise
     report = {
         "command": "avwc " + " ".join(argv),

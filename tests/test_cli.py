@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avwc import cli
+from avwc.bounds import BoundOptions
 from avwc.cli import main
 from avwc.codefile import parse_code, parse_random_code, serialize_code, serialize_random_code
 from avwc.specfile import load_spec, parse_spec, serialize_spec
@@ -25,6 +26,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subparser(parser: argparse.ArgumentParser, word: str) -> argparse.ArgumentParser:
+    """The parser of subcommand or code stage ``word`` under ``parser``."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[word]
 
 
 def two_message_code():
@@ -235,6 +241,7 @@ class TestCommands:
         report = json.loads(out)
         assert report["results"]["symmetrisability"]["symmetrisable"] is True
         assert report["results"]["best_eavesdropper_channel"]["exists"] is True
+        assert report["seed"] is None  # the structure tests draw nothing
 
     def test_structure_single_state_best_channel(self, capsys):
         code, out, _ = run(capsys, "structure", sample("single_bsc.avwc"), "--format", "json")
@@ -262,9 +269,10 @@ class TestCommands:
         # bound values are optimizer results: nothing is reported as certified
         assert "certified_gap" not in out
 
-    def test_evaluate_has_no_sampled_mode(self, capsys):
+    def test_evaluate_has_no_sampled_mode(self, capsys, staged_files):
         with pytest.raises(SystemExit) as exited:
-            main(["code", sample("degraded_pair.avwc"), "evaluate", "--mode", "sampled"])
+            main(["code", sample("degraded_pair.avwc"), "evaluate", "--code", staged_files[0],
+                  "--mode", "sampled"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --mode sampled" in capsys.readouterr().err
 
@@ -275,6 +283,28 @@ class TestCommands:
         first = json.dumps(json.loads(out1)["results"], sort_keys=True)
         second = json.dumps(json.loads(out2)["results"], sort_keys=True)
         assert first == second
+
+    def test_bounds_echo_the_seed_they_used(self, capsys):
+        argv = ("bounds", sample("single_bsc.avwc"), "--grid", "4", "--starts", "1", "--format", "json")
+        seeds = ((), ("--seed", "20240"), ("--seed", "11"))
+        reports = [json.loads(run(capsys, *argv, *seed)[1]) for seed in seeds]
+        assert [report["seed"] for report in reports] == [BoundOptions().seed, 20240, 11]
+        assert reports[0]["results"] == reports[1]["results"]
+
+    @pytest.mark.parametrize("spec", ["adder.avwc", "degraded_pair.avwc"])
+    def test_bounds_name_the_deterministic_code_class(self, capsys, spec):
+        # the paper's dichotomy: deterministic codes reach 0 over adder's symmetrisable main AVC
+        _, out, _ = run(capsys, "bounds", sample(spec), "--grid", "4", "--starts", "1", "--format", "json")
+        results = json.loads(out)["results"]
+        lower = results["secrecy_lower_bound"]
+        assert lower["best_eavesdropper_channel_exists"] is True
+        if spec == "adder.avwc":
+            assert results["main_avc_capacity"]["symmetrisable"] is True
+            assert lower["deterministic_value_bits_per_use"] == 0.0
+            assert results["gap_upper_minus_deterministic_lower"] == pytest.approx(0.5, abs=1e-6)
+        else:
+            assert lower["deterministic_value_bits_per_use"] == lower["value_bits_per_use"]
+            assert results["gap_upper_minus_deterministic_lower"] == results["gap_upper_minus_lower"]
 
     @pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-2"), ("--starts", "0")])
     def test_bounds_rejects_counts_below_one(self, capsys, flag, value):
@@ -399,11 +429,46 @@ class TestCommands:
         if subaction == "eliminate":
             flags = ["--reduced", reduced_path, "--prefix-len", "5"]
         else:
-            flags = ["--code", code_path, "--k", "8", "--epsilon", "0.4", "--seed", "5"]
+            flags = ["--code", code_path]
+        if subaction == "reduce":
+            flags += ["--k", "8", "--epsilon", "0.4", "--seed", "5"]
         code, _, err = run(capsys, "code", sample("degraded_pair.avwc"), subaction, *flags)
         assert code == 0
         assert calls == [parser]
         assert f"block_length={5 + 4 if subaction == 'eliminate' else 4}," in err
+
+    @pytest.mark.parametrize(
+        "stage, flags, seed, foreign",
+        [
+            ("build", "--n 3 --tau 0.05 --delta 0.3 --seed 6 --p uniform --out {tmp}/built.txt", 6,
+             "--table t.csv"),
+            ("evaluate", "--code {code} --table {tmp}/table.csv", None, "--seed 1"),
+            ("robustify", "--code {code}", None, "--k 2"),
+            ("reduce", "--code {code} --k 8 --epsilon 0.4 --seed 5 --out {tmp}/reduced.txt", 5,
+             "--prefix-len 2"),
+            ("eliminate", "--reduced {reduced} --prefix-len 5 --out {tmp}/combined.txt", None, "--n 3"),
+            ("verify-lemmas", "--n 4 --delta 0.2 --p uniform --code {code} --secrecy-events", None,
+             "--tau 0.1"),
+        ],
+        ids=["build", "evaluate", "robustify", "reduce", "eliminate", "verify-lemmas"],
+    )
+    def test_code_stages_take_only_the_flags_they_read(
+        self, capsys, tmp_path, staged_files, stage, flags, seed, foreign
+    ):
+        code_path, reduced_path = staged_files
+        argv = ["code", sample("degraded_pair.avwc"), stage, "--format", "json",
+                *flags.format(code=code_path, reduced=reduced_path, tmp=tmp_path).split()]
+        # the stage runs with every flag it declares and echoes the seed it drew with, if any
+        stage_parser = subparser(subparser(cli.build_parser(), "code"), stage)
+        declared = {option for action in stage_parser._actions for option in action.option_strings}
+        assert declared - {"-h", "--help"} == {word for word in argv if word.startswith("--")}
+        exit_code, out, _ = run(capsys, *argv)
+        assert exit_code == 0
+        assert json.loads(out)["seed"] == seed
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, *foreign.split()])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {foreign}" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.avwc"
@@ -545,20 +610,33 @@ class TestCommands:
             assert 0.0 <= float(err) <= 1.0 and float(leak) >= 0.0
 
 
-@pytest.mark.parametrize("command", ["structure", "bounds"])
+SYNOPSES = ["structure", "bounds"] + [
+    f"code {stage}" for stage in ("build", "evaluate", "robustify", "reduce", "eliminate", "verify-lemmas")
+]
+
+
+@pytest.mark.parametrize("command", SYNOPSES, ids=[command.replace(" ", "-") for command in SYNOPSES])
 def test_readme_synopsis_lists_every_option(command):
-    """README's command-line synopsis names every option of the subcommand."""
+    """README's command-line synopsis names every option of the subcommand or code stage,
+    bracketed unless the option is required."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
     synopsis = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
-    line = next(line for line in synopsis.splitlines() if line.startswith(f"avwc {command} "))
-    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = [
-        option
-        for action in subparsers.choices[command]._actions
-        if not isinstance(action, argparse._HelpAction)
-        for option in action.option_strings
-    ]
-    assert options
-    missing = [option for option in options if f"[{option}" not in line]
+    name, *stage = command.split()
+    prefix = " ".join(["avwc", name, "<spec>", *stage]) + " "
+    line = next(line for line in synopsis.splitlines() if line.startswith(prefix))
+    parser = cli.build_parser()
+    for word in command.split():
+        parser = subparser(parser, word)
+    actions = [action for action in parser._actions if not isinstance(action, argparse._HelpAction)]
+    assert actions
+    missing = []
+    for action in actions:
+        for option in action.option_strings:
+            if action.required:
+                listed = f" {option} " in line and f"[{option}" not in line
+            else:
+                listed = f"[{option}" in line
+            if not listed:
+                missing.append(option)
     assert not missing, f"README synopsis of 'avwc {command}' lacks {missing}"
