@@ -42,8 +42,6 @@ _FD_STEP = 1e-5  # finite-difference step of the ascent
 _LINE_SEARCH_POINTS = 9  # points of each batched line-search scan
 _FW_TOL = 1e-8  # Frank-Wolfe gap at which an inner minimum stops
 _FW_MAX_ITERS = 500
-# Philox keys lie below 2**128; the auxiliary ascent keys its stream with seed + 1
-MAX_SEED = 2**128 - 2
 
 # An objective maps an (N, dim) array of points to their (N,) values.
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -67,7 +65,8 @@ class BoundOptions:
 
     The ascent over input laws starts from the best point of the simplex grid
     of step 1/``p_grid_denominator`` (1/8 for alphabets above three letters)
-    plus ``starts`` further points, for at most ``ascent_iters`` steps each.
+    plus the first ``starts`` points of the start sequence (vertices, uniform
+    law, finer grids), for at most ``ascent_iters`` steps each.
     ``golden_iters`` sets line-search precision: a line search stops once its
     bracket is no wider than inv_phi**golden_iters of the searched interval,
     the final bracket of that many golden-section steps.
@@ -80,10 +79,8 @@ class BoundOptions:
     at a quarter of the step before.  ``multiletter_bound`` halves (two
     states) or quarters (more) ``q_grid_denominator`` for its grid.
 
-    ``seed`` keys the Philox stream of the random starts and ``seed + 1``
-    that of the auxiliary ascent, so it must lie in [0, ``MAX_SEED``].  The
-    counts may be 0, except that both grid denominators must be at least 1,
-    ``outer_q_points`` at least 2 (a grid of step 1), and ``aux_starts`` at
+    The counts may be 0, except that both grid denominators must be at least
+    1, ``outer_q_points`` at least 2 (a grid of step 1), and ``aux_starts`` at
     least 2: the auxiliary ascent always runs its two fixed starts.
     """
 
@@ -97,14 +94,11 @@ class BoundOptions:
     aux_starts: int = 4
     aux_iters: int = 50
     structure_tol: float = DEFAULT_TOL
-    seed: int = 20240
 
     def __post_init__(self):
         for name, minimum in _COUNT_MINIMUMS.items():
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be at least {minimum}, got {getattr(self, name)}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must be in [0, {MAX_SEED}], got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,12 +238,17 @@ def _pairwise_fw_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
 # outer maximization over a product of simplices
 # ---------------------------------------------------------------------------
 
-def _default_starts(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    starts = [np.eye(dim)[i] for i in range(dim)]
-    starts.append(np.full(dim, 1.0 / dim))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _start_sequence(dim: int, count: int) -> list[np.ndarray]:
+    """The vertices, the uniform law, then the points of simplex_grid(dim, m) for m = 2, 3, ...
+    not listed before, cut at ``count``; with dim = 1 the one point [1.0] repeats."""
+    starts = list(np.eye(dim)) + [np.full(dim, 1.0 / dim)]
+    seen = {tuple(p) for p in starts}
+    m = 2
     while len(starts) < count:
-        starts.append(rng.dirichlet(np.ones(dim)))
+        fresh = [p for p in simplex_grid(dim, m) if tuple(p) not in seen] if dim > 1 else [starts[-1]]
+        seen.update(map(tuple, fresh))
+        starts += fresh
+        m += 1
     return starts[:count]
 
 
@@ -324,7 +323,7 @@ def maximize_over_simplex(
     grid_vals = fn(grid)
     k = int(np.argmax(grid_vals))
     grid_best, grid_arg = float(grid_vals[k]), grid[k]
-    starts = [grid_arg] + _default_starts(dim, opts.starts, opts.seed)
+    starts = [grid_arg] + _start_sequence(dim, opts.starts)
     ps, vals, iters = _ascend(fn, np.array(starts), [slice(0, dim)], opts.ascent_iters, opts)
     trace = [
         {"stage": "ascent", "start": idx, "value": float(val), "iters": int(count)}
@@ -376,11 +375,12 @@ def _max_aux_gap(
             [np.full(u_size, 1.0 / u_size), np.full(embed_rows.size, 1.0 / input_count)]
         ),
     ]
-    rng = np.random.Generator(np.random.Philox(key=opts.seed + 1))
-    while len(starts) < opts.aux_starts:
-        pu = rng.dirichlet(np.ones(u_size))
-        rows = [rng.dirichlet(np.ones(input_count)) for _ in range(u_size)]
-        starts.append(np.concatenate([pu] + rows))
+    extra = opts.aux_starts - 2
+    if extra:
+        # further starts take p_u and the rows of X|U from the start sequences, past their uniform points
+        pus = _start_sequence(u_size, u_size + 1 + extra)[u_size + 1:]
+        rows = _start_sequence(input_count, input_count + 1 + extra * u_size)[input_count + 1:]
+        starts += [np.concatenate([pus[i], *rows[i * u_size:(i + 1) * u_size]]) for i in range(extra)]
     points, vals, _ = _ascend(pair_gap, np.array(starts), blocks, opts.aux_iters, opts)
     k = int(np.argmax(vals))
 

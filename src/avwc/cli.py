@@ -6,9 +6,10 @@ secrecy-capacity bounds, and ``code`` drives the construction pipeline.  Each
 ``code`` stage (build, evaluate, robustify, reduce, eliminate, verify-lemmas)
 is a subparser of its own that declares only the flags its handler reads, so
 any other flag is a usage error.  Reports are emitted as JSON or aligned
-text; the top-level ``seed`` is the seed the command used (``null`` for the
-commands that draw nothing), and the results block is a pure function of
-(spec file, flags, seed), so repeated runs are byte-identical there.
+text; the top-level ``seed`` is the seed the command used (``null`` for
+``structure`` and ``bounds``, which draw nothing), and the results block is a
+pure function of (spec file, flags, seed), so repeated runs are
+byte-identical there.
 
 Exit codes: 0 success, 2 parse error, 3 resource limit, 4 numeric or
 reduction failure.
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    MAX_SEED,
     BoundOptions,
     avc_capacity,
     multiletter_bound,
@@ -113,7 +113,7 @@ def cmd_structure(args, spec) -> dict:
 
 
 def cmd_bounds(args, spec) -> dict:
-    opts = BoundOptions(p_grid_denominator=args.grid, starts=args.starts, seed=args.seed)
+    opts = BoundOptions(p_grid_denominator=args.grid, starts=args.starts)
     results: dict = {"tag": "bounds"}
     lower = secrecy_lower_bound(spec.avwc, opts)
     lower_block = _bound_block("secrecy-lower-bound", lower)
@@ -127,12 +127,12 @@ def cmd_bounds(args, spec) -> dict:
     lower_block["best_eavesdropper_channel_exists"] = find_best_eaves_channel(
         list(spec.avwc.eaves), opts.structure_tol
     ).exists
-    upper = secrecy_upper_bound_single_letter(spec.avwc, args.u_size, opts)
+    upper = secrecy_upper_bound_single_letter(spec.avwc, opts=opts)
     results["secrecy_upper_bound_single_letter"] = _bound_block(
         "secrecy-upper-bound-single-letter", upper
     )
     if args.n:
-        multi = multiletter_bound(spec.avwc, args.n, args.multi_u_size, opts)
+        multi = multiletter_bound(spec.avwc, args.n, opts=opts)
         block = _bound_block("multi-letter-bound", multi)
         block["n"] = args.n
         results["multi_letter_bound"] = block
@@ -270,6 +270,9 @@ def cmd_eliminate(args, spec) -> dict:
 def cmd_verify_lemmas(args, spec) -> dict:
     """check the typicality lemmas and robustification exhaustively"""
     avwc = spec.avwc
+    code = _read(args.code, parse_code) if args.code else None
+    if code is not None and code.n != args.n:
+        raise ValueError(f"code block length {code.n} differs from --n {args.n}")
     results = _stage_results(args, spec, args.n)
     p = _input_distribution(spec, args.p)
     tp = TypicalityParams(args.n, args.delta)
@@ -291,7 +294,8 @@ def cmd_verify_lemmas(args, spec) -> dict:
             )
             all_pass &= rep.passed
     results["typicality_checks"] = channel_reports
-    code = _read(args.code, parse_code) if args.code else _default_probe_code(avwc, args.n, tp)
+    if code is None:
+        code = _default_probe_code(avwc, args.n, tp)
     rob = verify_robustification(code, avwc)
     results["robustification"] = {
         "gamma": rob.gamma,
@@ -424,12 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--starts", type=_int_at_least(1), default=defaults.starts, help="ascent multi-start count"
     )
-    p_bounds.add_argument("--u-size", dest="u_size", type=_int_at_least(1), default=None)
     p_bounds.add_argument(
         "--n", type=_int_at_least(0), default=0, help="also evaluate the n-letter bound (0 skips it)"
     )
-    p_bounds.add_argument("--multi-u-size", dest="multi_u_size", type=_int_at_least(1), default=None)
-    p_bounds.add_argument("--seed", type=_int_at_least(0, MAX_SEED), default=defaults.seed)
     p_bounds.add_argument("--format", choices=("json", "text"), default="text")
     p_bounds.set_defaults(handler=cmd_bounds)
 

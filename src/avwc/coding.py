@@ -276,12 +276,9 @@ def evaluate_code(
 # random codebooks
 # ---------------------------------------------------------------------------
 
-def codebook_rates(
-    p: Distribution, avwc: AVWC, n: int, tau: float, opts=None
-) -> tuple[int, int, float, float]:
+def codebook_rates(p: Distribution, avwc: AVWC, n: int, tau: float) -> tuple[int, int, float, float]:
     """(J_n, L_n) and the two exponent terms behind them."""
-    opts = opts or BoundOptions()
-    w_min, _ = min_mi_over_mixtures(p.probs, avwc.main_stack, opts)
+    w_min, _ = min_mi_over_mixtures(p.probs, avwc.main_stack, BoundOptions())
     v_max = max(mi_from_arrays(p.probs, rows) for rows in avwc.eaves_stack)
     j_exponent = n * (w_min - v_max - tau)
     l_exponent = n * (v_max + tau / 4.0)

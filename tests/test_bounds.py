@@ -18,9 +18,9 @@ from avwc import (
     secrecy_upper_bound_single_letter,
 )
 from avwc.bounds import (
-    MAX_SEED,
     _line_max,
     _scan_min_over_q,
+    _start_sequence,
     min_mi_over_mixtures,
     simplex_grid,
 )
@@ -385,14 +385,33 @@ def test_mixture_information_peaks_at_states():
         assert state_max <= grid_max + 1e-12
 
 
-def test_seed_range_covers_both_philox_streams():
-    """The ascent keys Philox with seed and the auxiliary ascent with seed + 1."""
-    avwc = AVWC(main=(Channel.bsc(0.05),), eaves=(Channel.bsc(0.2),))
-    opts = BoundOptions(starts=2, aux_starts=3, aux_iters=5, seed=MAX_SEED)
-    assert secrecy_upper_bound_single_letter(avwc, opts=opts).value > 0.0
-    for seed in (-1, MAX_SEED + 1):
-        with pytest.raises(ValueError, match="seed must be in"):
-            BoundOptions(seed=seed)
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_start_sequence_opens_with_the_vertices_then_the_uniform_law(dim):
+    starts = _start_sequence(dim, dim + 1)
+    assert np.array_equal(np.array(starts), np.vstack([np.eye(dim), np.full(dim, 1.0 / dim)]))
+    if dim > 1:
+        # further starts are simplex-grid points not listed before
+        more = np.array(_start_sequence(dim, 20))
+        assert np.array_equal(more[: dim + 1], np.array(starts))
+        assert len({tuple(p) for p in more}) == 20
+        assert np.allclose(more.sum(axis=1), 1.0) and (more >= 0.0).all()
+
+
+def test_bounds_finish_on_a_one_input_avwc():
+    """With one input letter every start sequence has a single point, which then repeats."""
+    avwc = AVWC(
+        main=(Channel(np.array([[0.3, 0.7]])), Channel(np.array([[0.6, 0.4]]))),
+        eaves=(Channel(np.array([[0.5, 0.5]])), Channel(np.array([[0.2, 0.8]]))),
+    )
+    opts = BoundOptions(starts=5, aux_starts=4, aux_iters=5)
+    values = [
+        secrecy_lower_bound(avwc, opts).value,
+        avc_capacity(list(avwc.main), opts).value,
+        secrecy_upper_bound_single_letter(avwc, u_size=1, opts=opts).value,
+        secrecy_upper_bound_single_letter(avwc, opts=opts).value,
+        multiletter_bound(avwc, 2, opts=opts).value,
+    ]
+    assert np.isfinite(values).all()
 
 
 MINIMUM_COUNTS = {

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avwc import cli
-from avwc.bounds import BoundOptions
+from avwc.bounds import BoundOptions, multiletter_bound
 from avwc.cli import main
 from avwc.codefile import parse_code, parse_random_code, serialize_code, serialize_random_code
 from avwc.specfile import load_spec, parse_spec, serialize_spec
@@ -277,7 +277,7 @@ class TestCommands:
         assert "unrecognized arguments: --mode sampled" in capsys.readouterr().err
 
     def test_bounds_deterministic_results_block(self, capsys):
-        argv = ("bounds", sample("single_bsc.avwc"), "--starts", "4", "--seed", "11", "--format", "json")
+        argv = ("bounds", sample("single_bsc.avwc"), "--starts", "4", "--format", "json")
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         first = json.dumps(json.loads(out1)["results"], sort_keys=True)
@@ -285,11 +285,25 @@ class TestCommands:
         assert first == second
 
     def test_bounds_echo_the_seed_they_used(self, capsys):
-        argv = ("bounds", sample("single_bsc.avwc"), "--grid", "4", "--starts", "1", "--format", "json")
-        seeds = ((), ("--seed", "20240"), ("--seed", "11"))
-        reports = [json.loads(run(capsys, *argv, *seed)[1]) for seed in seeds]
-        assert [report["seed"] for report in reports] == [BoundOptions().seed, 20240, 11]
-        assert reports[0]["results"] == reports[1]["results"]
+        # the bounds draw nothing: they echo no seed, as structure does, and take no --seed
+        argv = ["bounds", sample("single_bsc.avwc"), "--grid", "4", "--starts", "1", "--format", "json"]
+        assert json.loads(run(capsys, *argv)[1])["seed"] is None
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--seed", "1"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_bounds_report_the_multi_letter_bound(self, capsys):
+        _, out, _ = run(
+            capsys, "bounds", sample("single_bsc.avwc"), "--grid", "4", "--starts", "1", "--n", "2", "--format", "json"
+        )
+        block = json.loads(out)["results"]["multi_letter_bound"]
+        assert set(block) == {"tag", "value_bits_per_use", "argmax_p", "inner_argmin_q", "n"}
+        assert block["tag"] == "multi-letter-bound" and block["n"] == 2
+        expected = multiletter_bound(
+            load_spec(sample("single_bsc.avwc")).avwc, 2, opts=BoundOptions(p_grid_denominator=4, starts=1)
+        )
+        assert block["value_bits_per_use"] == expected.value
 
     @pytest.mark.parametrize("spec", ["adder.avwc", "degraded_pair.avwc"])
     def test_bounds_name_the_deterministic_code_class(self, capsys, spec):
@@ -318,15 +332,12 @@ class TestCommands:
         "argv, minimum",
         [
             (("bounds", "single_bsc.avwc", "--n", "-1"), 0),
-            (("bounds", "single_bsc.avwc", "--u-size", "0"), 1),
             (("code", "degraded_pair.avwc", "build", "--n", "-2"), 1),
             (("code", "degraded_pair.avwc", "eliminate", "--prefix-len", "-1"), 0),
             (("code", "degraded_pair.avwc", "reduce", "--k", "0"), 1),
-            (("bounds", "single_bsc.avwc", "--seed", "-1"), 0),
             (("code", "single_bsc.avwc", "build", "--n", "3", "--tau", "0.05", "--seed", "-1"), 0),
         ],
-        ids=["bounds-n", "bounds-u-size", "build-n", "eliminate-prefix-len", "reduce-k", "bounds-seed",
-             "build-seed"],
+        ids=["bounds-n", "build-n", "eliminate-prefix-len", "reduce-k", "build-seed"],
     )
     def test_integer_flags_below_their_minimum_are_usage_errors(self, capsys, argv, minimum):
         command, spec, *flags = argv
@@ -338,13 +349,11 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, maximum",
         [
-            (("bounds", "single_bsc.avwc", "--seed", str(2**128 - 1)), 2**128 - 2),
             (("code", "single_bsc.avwc", "build", "--n", "3", "--tau", "0.05", "--seed", str(2**128)), 2**128 - 1),
         ],
-        ids=["bounds-seed", "build-seed"],
+        ids=["build-seed"],
     )
     def test_seeds_outside_the_philox_key_range_are_usage_errors(self, capsys, argv, maximum):
-        # bounds key a second stream with seed + 1, so their limit is one lower
         command, spec, *flags = argv
         with pytest.raises(SystemExit) as exited:
             main([command, sample(spec), *flags])
@@ -564,6 +573,51 @@ class TestCommands:
         results = json.loads(out)["results"]
         assert results["all_checks_pass"] is True
         assert len(results["typicality_checks"]) == 4
+
+    def test_verify_lemmas_renders_its_check_list_as_text(self, capsys):
+        code, out, _ = run(capsys, "code", sample("degraded_pair.avwc"), "verify-lemmas", "--n", "3")
+        assert code == 0
+        lines = out.splitlines()
+        checks = lines[lines.index("  typicality_checks:") + 1 : lines.index("  robustification:")]
+        # one block per family and state, each closed by a dash
+        assert checks.count("    -") == 4 and checks[-1] == "    -"
+        assert checks.count("    family: main") == checks.count("    family: eaves") == 2
+        assert "    state: jam" in checks and "  all_checks_pass: True" in lines
+
+    @pytest.mark.parametrize("extra", [(), ("--secrecy-events",)], ids=["plain", "secrecy-events"])
+    def test_verify_lemmas_rejects_a_code_of_another_block_length(self, capsys, monkeypatch, tmp_path, extra):
+        spec = sample("degraded_pair.avwc")
+        code_path = str(tmp_path / "c3.txt")
+        assert main(["code", spec, "build", "--n", "3", "--tau", "0.05", "--delta", "0.3", "--out", code_path]) == 0
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("the typicality sweep ran")
+
+        monkeypatch.setattr(cli, "verify_typicality_bounds", never)
+        code, _, err = run(capsys, "code", spec, "verify-lemmas", "--n", "5", "--code", code_path, *extra)
+        assert code == 4
+        assert "code block length 3 differs from --n 5" in err
+        assert "size estimate" not in err
+
+    def test_build_takes_a_named_input_distribution(self, capsys, tmp_path):
+        argv = ["code", sample("single_bsc.avwc"), "build", "--n", "3", "--tau", "0.05"]
+        # the spec's uniform_in is the uniform law, so both names draw the same code
+        codes = []
+        for name in ("uniform_in", "uniform"):
+            assert run(capsys, *argv, "--p", name, "--out", str(tmp_path / f"{name}.txt"))[0] == 0
+            codes.append((tmp_path / f"{name}.txt").read_text())
+        assert codes[0] == codes[1]
+        states_spec = tmp_path / "states_dist.avwc"
+        with open(sample("single_bsc.avwc"), encoding="utf-8") as handle:
+            states_spec.write_text(handle.read() + "dist one states 1\n")
+        for spec, name, message in (
+            (sample("single_bsc.avwc"), "nosuch", "no distribution named 'nosuch'"),
+            (str(states_spec), "one", "distribution 'one' is over states, not inputs"),
+        ):
+            code, _, err = run(capsys, "code", spec, "build", "--n", "3", "--tau", "0.05", "--p", name)
+            assert code == 2
+            assert message in err
 
     def test_noiseless_build_then_evaluate_is_error_free(self, capsys, tmp_path):
         spec_path = tmp_path / "noiseless.avwc"

@@ -1,8 +1,9 @@
-"""Every intra-package import sits at module level.
+"""Every intra-package import sits at module level, and the bounds draw no random numbers.
 
 A function-level import hides a dependency and lets an import cycle go
 unnoticed; at module level a cycle of ``from .x import name`` imports fails
-as soon as the package loads.
+as soon as the package loads.  A bound is a function of the spec and its
+options alone, so the bounds module builds no random generator.
 """
 
 import ast
@@ -35,3 +36,8 @@ def test_no_function_level_intra_package_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _function_level_imports(path)] == []
+
+
+def test_bounds_draw_no_random_numbers():
+    source = (PACKAGE / "bounds.py").read_text(encoding="utf-8")
+    assert [word for word in ("np.random", "Philox") if word in source] == []

@@ -227,6 +227,15 @@ class TestReduceRandomCode:
             reduce_random_code(family, pipeline_avwc, k_count=4, epsilon=1e-6, seed=1)
         assert "attempts" in err.value.diagnostics
 
+    def test_default_count_sizes_the_family(self, pipeline_avwc, pipeline_code):
+        from avwc.pipeline import reduction_count
+
+        family = robustify(pipeline_code, pipeline_avwc)
+        reduced = reduce_random_code(family, pipeline_avwc, epsilon=0.3, seed=2)
+        k = reduction_count(4, 2, 2, 0.3)
+        assert reduced.verification.success
+        assert reduced.verification.k_count == k == reduced.member_count()
+
     def test_default_count_formula(self):
         from avwc.pipeline import reduction_count
 
@@ -241,6 +250,19 @@ class TestPrefixSearch:
             assert prefix.codewords.shape == (k_count, prefix_len)
             assert len({tuple(w) for w in prefix.codewords}) == k_count
             assert prefix.decoder.shape == (2**prefix_len,)
+
+    def test_greedy_search_beyond_the_subset_cap(self, pipeline_avwc):
+        # the pool is the C(10, 5) = 252 balanced words, and C(252, 8) subsets are too many to score
+        assert math.comb(math.comb(10, 5), 8) > pipeline._SUBSET_CAP
+        prefix = search_prefix_code(pipeline_avwc, 8, 10)
+        assert prefix.codewords.shape == (8, 10)
+        assert len({tuple(w) for w in prefix.codewords}) == 8
+        assert (prefix.codewords.sum(axis=1) == 5).all()
+        assert prefix.decoder.shape == (2**10,) and set(prefix.decoder) <= set(range(8))
+        # each codeword received without error decodes to itself
+        words = channels.word_matrix(2, 10)
+        for k, word in enumerate(prefix.codewords):
+            assert prefix.decoder[np.flatnonzero((words == word).all(axis=1))[0]] == k
 
     def test_overfull_message_set_raises(self, pipeline_avwc):
         with pytest.raises(PrefixSearchFailureError):
