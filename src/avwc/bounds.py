@@ -103,9 +103,8 @@ class BoundOptions:
 
 @dataclass(frozen=True, eq=False)
 class AuxiliaryChannelPair:
-    """Auxiliary input U with its distribution and the channel from U to A."""
+    """Auxiliary input U with its distribution ``p_u`` and the channel from U to A."""
 
-    u_size: int
     p_u: Distribution
     x_given_u: Channel
 
@@ -337,19 +336,20 @@ def maximize_over_simplex(
 
 
 def _max_aux_gap(
-    y_stack: np.ndarray,
-    z_stack: np.ndarray,
-    input_count: int,
-    u_size: int,
-    opts: BoundOptions,
+    y_stack: np.ndarray, z_stack: np.ndarray, u_size: int | None, opts: BoundOptions
 ) -> tuple[float, AuxiliaryChannelPair]:
     """max over (p_u, X|U) of [min_y I(U;Y) - max_z I(U;Z)].
 
     ``y_stack`` (Q, A, B) and ``z_stack`` (R, A, C) hold the candidate
     channels the inner minimum and maximum run over (a single channel each in
-    the single-letter case).  ``u_size`` must be at least ``input_count``, so
-    that U = X embeds.  Returns (value, pair).
+    the single-letter case).  ``u_size`` defaults to A + 1 and must be at
+    least A, so that U = X embeds.  Returns (value, pair).
     """
+    input_count = y_stack.shape[-2]
+    if u_size is None:
+        u_size = input_count + 1
+    if u_size < input_count:
+        raise ValueError(f"u_size {u_size} below the {input_count} inputs cannot embed U = X")
 
     def gap(pu: np.ndarray, y_rows: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
         pu = pu[:, None, :]
@@ -385,9 +385,8 @@ def _max_aux_gap(
     k = int(np.argmax(vals))
 
     if p_val >= vals[k]:
-        return p_val, AuxiliaryChannelPair(u_size, Distribution(embed_pu), Channel(embed_rows))
+        return p_val, AuxiliaryChannelPair(Distribution(embed_pu), Channel(embed_rows))
     pair = AuxiliaryChannelPair(
-        u_size,
         Distribution(points[k, :u_size]),
         Channel(points[k, u_size:].reshape(u_size, input_count)),
     )
@@ -495,13 +494,11 @@ def avc_capacity(
 def secrecy_upper_bound_single_letter(
     avwc: AVWC, u_size: int | None = None, opts: BoundOptions | None = None
 ) -> BoundResult:
-    """min over q of max over auxiliary pairs U -> X of I(U;Y_q) - I(U;Z_q)."""
+    """min over q of max over auxiliary pairs U -> X of I(U;Y_q) - I(U;Z_q).
+
+    |U| = ``u_size``, by default |A| + 1.
+    """
     opts = opts or BoundOptions()
-    a_size = avwc.input_size
-    if u_size is None:
-        u_size = a_size + 1
-    if u_size < a_size:
-        raise ValueError("u_size below the input alphabet size cannot embed U = X")
     wstack = avwc.main_stack
     vstack = avwc.eaves_stack
 
@@ -511,7 +508,7 @@ def secrecy_upper_bound_single_letter(
         q = np.array(key)
         wq = np.tensordot(q, wstack, axes=1)
         vq = np.tensordot(q, vstack, axes=1)
-        return _max_aux_gap(wq[None], vq[None], a_size, u_size, opts)
+        return _max_aux_gap(wq[None], vq[None], u_size, opts)
 
     value, q_star, qtrace = _scan_min_over_q(
         lambda qs: np.array([at(tuple(q))[0] for q in qs]), avwc.state_count, opts
@@ -544,17 +541,14 @@ def multiletter_bound(
     exact one.  The maximum over U is a heuristic ascent, so the reported
     value may still understate the bound.  ``inner_argmin_q`` is the grid
     point q that minimizes the legitimate receiver's term I(U;Y^n_q) at the
-    final auxiliary pair, the minimum the value uses.
+    final auxiliary pair, the minimum the value uses.  |U| = ``u_size``, by
+    default |A|^n + 1.
     """
     opts = opts or BoundOptions()
     if n < 1:
         raise ValueError("block length must be at least 1")
     a_size = avwc.input_size
     input_count = a_size**n
-    if u_size is None:
-        u_size = input_count + 1
-    if u_size < input_count:
-        raise ValueError("u_size below |A|^n cannot embed U = X^n")
     check_enumeration(input_count * avwc.main_output_size**n, "multi-letter main product")
     check_enumeration(input_count * avwc.eaves_output_size**n, "multi-letter eaves product")
 
@@ -572,7 +566,7 @@ def multiletter_bound(
         return output_law(inputs, np.broadcast_to(mixed[:, None], (len(q_points), n) + mixed.shape[1:]))
 
     y_products = products(wstack)
-    value, pair = _max_aux_gap(y_products, products(vstack), input_count, u_size, opts)
+    value, pair = _max_aux_gap(y_products, products(vstack), u_size, opts)
     y_info = mi_batch(pair.p_u.probs, pair.x_given_u.rows @ y_products)
 
     return BoundResult(

@@ -232,17 +232,16 @@ class StateSequence:
         return len(self.symbols)
 
 
-def sequence_symbols(s, state_count: int | None = None) -> tuple[int, ...]:
-    """Accept a StateSequence or a plain iterable of state indices."""
+def sequence_symbols(s, state_count: int) -> tuple[int, ...]:
+    """Accept a StateSequence or a plain iterable of indices in [0, state_count)."""
     if isinstance(s, StateSequence):
-        if state_count is not None and s.state_count != state_count:
+        if s.state_count != state_count:
             raise ValueError("state sequence built for a different state count")
         return s.symbols
     symbols = tuple(int(v) for v in s)
-    if state_count is not None:
-        for v in symbols:
-            if not 0 <= v < state_count:
-                raise ValueError(f"state index {v} outside [0, {state_count})")
+    for v in symbols:
+        if not 0 <= v < state_count:
+            raise ValueError(f"state index {v} outside [0, {state_count})")
     return symbols
 
 

@@ -12,7 +12,7 @@ pure function of (spec file, flags, seed), so repeated runs are
 byte-identical there.
 
 Exit codes: 0 success, 2 parse error, 3 resource limit, 4 numeric or
-reduction failure.
+reduction failure.  A reader that closes the pipe early still gets exit 0.
 """
 
 from __future__ import annotations
@@ -472,10 +472,12 @@ def main(argv: list[str] | None = None) -> int:
         "timing_seconds": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_text(report))
+    text = json.dumps(report, indent=2, sort_keys=True) if args.format == "json" else _render_text(report)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left early (``| head``): send what is left, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -63,8 +63,6 @@ class WiretapCode:
     output_size: int
     codewords: np.ndarray  # (J, L, n) integer array
     decoder: np.ndarray  # (output_size**n,) message index or ERASURE
-    design_p: Distribution | None = None
-    design_delta: float | None = None
 
     def __post_init__(self):
         codewords = np.asarray(self.codewords, dtype=int)
@@ -121,10 +119,10 @@ class RandomCode:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    worst_state_error: float | None
-    worst_state_sequence: StateSequence | None
-    worst_leakage_bits: float | None
-    worst_leakage_sequence: StateSequence | None
+    worst_state_error: float
+    worst_state_sequence: StateSequence
+    worst_leakage_bits: float
+    worst_leakage_sequence: StateSequence
     per_sequence: tuple | None
 
 
@@ -215,44 +213,31 @@ def first_maximum(values: np.ndarray) -> int:
     return int(np.flatnonzero(flat >= flat.max() - TIE_TOL)[0])
 
 
-def evaluate_code(
-    code: WiretapCode,
-    avwc: AVWC,
-    objectives: Sequence[str] = ("error", "leakage"),
-    keep_table: bool = False,
-) -> EvalReport:
-    """Exact worst-case error and/or leakage over all state sequences.
+def evaluate_code(code: WiretapCode, avwc: AVWC, keep_table: bool = False) -> EvalReport:
+    """Exact worst-case error and leakage over all state sequences.
 
     Every state sequence and every output word is enumerated, or the call is
     refused under the enumeration cap; nothing is estimated by sampling.  The
-    worst sequence of each objective in ``objectives`` is the
-    lexicographically first one whose value lies within ``TIE_TOL`` (1e-12)
-    of the maximum, reported with its own value.  ``keep_table`` keeps the
-    per-sequence (sequence, error, leakage) rows, None for an objective not
-    requested.
+    worst sequence of each objective is the lexicographically first one whose
+    value lies within ``TIE_TOL`` (1e-12) of the maximum, reported with its
+    own value.  ``keep_table`` keeps the per-sequence (sequence, error,
+    leakage) rows.
     """
     _check_alphabets(code, avwc)
     n = code.n
     s_count = avwc.state_count
-    check_enumeration(s_count**n, "state sequence enumeration")
-    if "error" in objectives:
-        check_enumeration(
-            s_count**n * avwc.main_output_size**n * code.j_count * code.l_count,
-            "exhaustive error evaluation",
-        )
-    if "leakage" in objectives:
-        check_enumeration(
-            s_count**n * avwc.eaves_output_size**n * code.j_count * code.l_count,
-            "exact leakage evaluation (sampling is refused: sampled mutual-information "
-            "estimates are biased)",
-        )
-    columns = ("error", "leakage")
-    table = sequence_table(code, avwc, [name for name in columns if name in objectives])
-    words = word_matrix(s_count, n)
+    check_enumeration(
+        s_count**n * avwc.main_output_size**n * code.j_count * code.l_count,
+        "exhaustive error evaluation",
+    )
+    check_enumeration(
+        s_count**n * avwc.eaves_output_size**n * code.j_count * code.l_count,
+        "exact leakage evaluation (sampling is refused: sampled mutual-information "
+        "estimates are biased)",
+    )
+    table = sequence_table(code, avwc)
 
-    def worst(name: str):
-        if name not in table:
-            return None, None
+    def worst(name: str) -> tuple[float, StateSequence]:
         at = first_maximum(table[name])
         return float(table[name][at]), StateSequence(index_to_word(at, s_count, n), s_count)
 
@@ -260,9 +245,8 @@ def evaluate_code(
     worst_leak, worst_leak_seq = worst("leakage")
     per_sequence = None
     if keep_table:
-        sequences = [StateSequence(symbols, s_count) for symbols in words.tolist()]
-        values = [table[name].tolist() if name in table else [None] * len(words) for name in columns]
-        per_sequence = tuple(zip(sequences, *values))
+        sequences = [StateSequence(symbols, s_count) for symbols in word_matrix(s_count, n).tolist()]
+        per_sequence = tuple(zip(sequences, table["error"].tolist(), table["leakage"].tolist()))
     return EvalReport(
         worst_state_error=worst_error,
         worst_state_sequence=worst_error_seq,
@@ -357,8 +341,6 @@ def build_random_codebook(
         output_size=avwc.main_output_size,
         codewords=codewords,
         decoder=np.full(avwc.main_output_size**n, ERASURE),
-        design_p=p,
-        design_delta=delta,
     )
     decoder = decode_rule(code, avwc, tp)
     return replace(code, decoder=decoder)
@@ -427,35 +409,28 @@ class SecrecyEventReport:
 
 
 def check_secrecy_events(
-    code: WiretapCode,
-    avwc: AVWC,
-    tp: TypicalityParams,
-    epsilon: float | None = None,
-    p: Distribution | None = None,
+    code: WiretapCode, avwc: AVWC, tp: TypicalityParams, p: Distribution
 ) -> SecrecyEventReport:
     """Check the relative-deviation band events behind the codebook secrecy argument.
 
     For each point-mass mixture weight q the truncated reference density is
-    built from the pruned input law, and for every message the l-averaged
-    truncated conditional densities must stay inside the (1 +- epsilon) band
-    around it at every output word.
+    built from the pruned design input law ``p``, and for every message the
+    l-averaged truncated conditional densities must stay inside the
+    (1 +- epsilon) band around it at every output word, with the lemma's
+    epsilon = 2^(-n (c/2) delta^2).
     """
-    design_p = p or code.design_p
-    if design_p is None:
-        raise ValueError("a design input distribution is required (code carries none)")
     if tp.n != code.n:
         raise ValueError("typicality parameters built for a different block length")
     n = code.n
-    if epsilon is None:
-        epsilon = 2.0 ** (-n * (TYPICALITY_C / 2.0) * tp.delta**2)
+    epsilon = 2.0 ** (-n * (TYPICALITY_C / 2.0) * tp.delta**2)
 
     in_words = word_matrix(avwc.input_size, n)
     out_words = word_matrix(avwc.eaves_output_size, n)
     check_enumeration(len(in_words) * len(out_words), "secrecy event check")
-    in_mask = typical_mask(design_p, tp, in_words)
+    in_mask = typical_mask(p, tp, in_words)
     if not in_mask.any():
         raise ValueError("empty typical set: no pruned distribution exists")
-    pruned = iid_extension(design_p, n).probs[in_mask]
+    pruned = iid_extension(p, n).probs[in_mask]
     pruned = pruned / pruned.sum()
     typical_in = in_words[in_mask]
 
@@ -464,7 +439,7 @@ def check_secrecy_events(
     theta_masses = []
     band_supports = []
     for q_index, v_q in enumerate(avwc.eaves):
-        out_entropy = entropy_from_array(design_p.probs @ v_q.rows)
+        out_entropy = entropy_from_array(p.probs @ v_q.rows)
         alpha = 2.0 ** (-n * (out_entropy + slack))
         # truncated densities V_q^n(z | x) on the conditionally typical z, one chunk of words at a time
         theta_raw = np.zeros(len(out_words))

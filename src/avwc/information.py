@@ -76,24 +76,9 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return float(np.sum(pm * (np.log2(pm) - np.log2(qm))))
 
 
-def joint_mutual_information(
-    p_joint,
-    first_size: int | None = None,
-    second_size: int | None = None,
-) -> float:
-    """I(J; Z) from a joint over pairs.
-
-    Accepts either a 2-D array indexed [j, z] or a flat Distribution over
-    lexicographic (j, z) pairs together with the two factor sizes.
-    """
-    if isinstance(p_joint, Distribution):
-        if first_size is None or second_size is None:
-            raise ValueError("factor sizes are required for a flat joint distribution")
-        if first_size * second_size != p_joint.support_size:
-            raise ValueError("factor sizes do not multiply to the joint support size")
-        joint = p_joint.probs.reshape(first_size, second_size)
-    else:
-        joint = np.asarray(p_joint, dtype=float)
+def joint_mutual_information(p_joint) -> float:
+    """I(J; Z) from a joint over pairs, a 2-D array indexed [j, z]."""
+    joint = np.asarray(p_joint, dtype=float)
     if joint.ndim != 2:
         raise ValueError("joint distribution must be a 2-D array")
     total = float(joint.sum())

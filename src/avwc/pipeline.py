@@ -80,8 +80,6 @@ def _apply_inverse_permutation(code: WiretapCode, sigma: Sequence[int]) -> Wiret
         output_size=code.output_size,
         codewords=codewords,
         decoder=decoder,
-        design_p=code.design_p,
-        design_delta=code.design_delta,
     )
 
 
@@ -476,15 +474,17 @@ def eliminate_randomness(reduced: RandomCode, avwc: AVWC, prefix_len: int) -> El
     member_err, member_leak = np.empty((2, len(payload_states), k))
     leak = np.empty((len(prefix_states), len(payload_states)))  # payload leakage per (prefix, payload)
     c = avwc.eaves_output_size
+    # one payload sequence's joint at a time, (P*U, K) @ (K, Z) per message j, in one buffer: a fresh
+    # joint per sequence let malloc trim and regrow the heap top, which made the stage's time vary
+    joint = np.empty((j_count, len(prefix_weights), c**n))
     for chunk in chunks(len(payload_states), k * j_count * l_count * max(b, c) ** n):
         states = payload_states[chunk]
         main = output_law(all_members, avwc.main_stack[states]).reshape(len(states), k, j_count, -1)
         member_err[chunk] = 1.0 - message_success(main, member_decoders).mean(axis=-1)
         cond = output_law(all_members, avwc.eaves_stack[states]).reshape(len(states), k, j_count, -1)
         member_leak[chunk] = mi_batch(uniform_j, cond)
-        # one payload sequence's joint at a time: (P*U, K) @ (K, Z) per message j, laid out (J, P, U*Z)
         for t, laws in enumerate(cond, chunk.start):
-            joint = np.matmul(prefix_weights, laws.transpose(1, 0, 2))  # (J, P*U, Z)
+            np.matmul(prefix_weights, laws.transpose(1, 0, 2), out=joint)  # (J, P*U, Z), read as (J, P, U*Z)
             leak[:, t] = mi_batch(uniform_j, joint.reshape(j_count, len(prefix_states), -1).swapaxes(0, 1))
 
     # every (prefix, payload) pair at once; row-major order is lexicographic

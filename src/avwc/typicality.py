@@ -51,11 +51,9 @@ def typicality_slack(delta: float, input_size: int, output_size: int, n: int) ->
     return 2.0 * input_size * output_size * delta * math.log2(max(n, 2))
 
 
-def typical_mask(p: Distribution, tp: TypicalityParams, words: np.ndarray | None = None) -> np.ndarray:
-    """Boolean mask over all length-n words (lexicographic) of typicality for p."""
+def typical_mask(p: Distribution, tp: TypicalityParams, words: np.ndarray) -> np.ndarray:
+    """Boolean mask of typicality for p over the rows of an (m, n) array of words."""
     k = p.support_size
-    if words is None:
-        words = word_matrix(k, tp.n)
     mask = np.ones(len(words), dtype=bool)
     for a in range(k):
         counts = (words == a).sum(axis=1)
@@ -73,19 +71,16 @@ def typical_set(p: Distribution, tp: TypicalityParams) -> list[tuple[int, ...]]:
     return [tuple(int(v) for v in row) for row in words[mask]]
 
 
-def cond_typical_mask(
-    w: Channel, x_word, tp: TypicalityParams, outputs: np.ndarray | None = None
-) -> np.ndarray:
-    """Mask over all output words of conditional typicality given ``x_word``.
+def cond_typical_mask(w: Channel, x_word, tp: TypicalityParams, outputs: np.ndarray) -> np.ndarray:
+    """Mask of conditional typicality given ``x_word`` over the rows of ``outputs``.
 
-    ``x_word`` is one input word (n,) or a batch (m, n), giving a (|B|^n,) or
-    (m, |B|^n) mask; the joint counts come from one matmul per symbol pair.
+    ``x_word`` is one input word (n,) or a batch (m, n) and ``outputs`` an
+    (r, n) array of output words, usually all |B|^n of them, giving an (r,)
+    or (m, r) mask; the joint counts come from one matmul per symbol pair.
     """
     x = np.asarray(x_word, dtype=int)
     if x.ndim not in (1, 2) or x.shape[-1] != tp.n:
         raise ValueError("conditioning word length does not match the block length")
-    if outputs is None:
-        outputs = word_matrix(w.output_size, tp.n)
     xs = x.reshape(-1, tp.n)
     at_b = [(outputs == b).T.astype(float) for b in range(w.output_size)]
     mask = np.ones((len(xs), len(outputs)), dtype=bool)

@@ -397,6 +397,17 @@ def test_start_sequence_opens_with_the_vertices_then_the_uniform_law(dim):
         assert np.allclose(more.sum(axis=1), 1.0) and (more >= 0.0).all()
 
 
+@pytest.mark.parametrize("bound", [
+    lambda avwc: secrecy_upper_bound_single_letter(avwc, u_size=1),
+    lambda avwc: multiletter_bound(avwc, 2, u_size=3),
+], ids=["single-letter", "multi-letter"])
+def test_upper_bounds_refuse_an_aux_alphabet_that_cannot_embed_the_input(bound):
+    """U must hold X (|A| = 2 letters) or X^2 (4 words) for U = X to embed."""
+    avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.3),))
+    with pytest.raises(ValueError, match="cannot embed"):
+        bound(avwc)
+
+
 def test_bounds_finish_on_a_one_input_avwc():
     """With one input letter every start sequence has a single point, which then repeats."""
     avwc = AVWC(

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +126,20 @@ class TestCodeFile:
         assert np.array_equal(code.codewords, again.codewords)
         assert np.array_equal(code.decoder, again.decoder)
 
+    def test_built_code_reads_back_with_every_field(self):
+        """A code read back from its file equals the built code field by field."""
+        import dataclasses
+
+        from avwc.coding import WiretapCode, build_random_codebook
+        from avwc.channels import Distribution
+
+        avwc = load_spec(sample("degraded_pair.avwc")).avwc
+        code = build_random_codebook(Distribution.uniform(2), avwc, 4, 0.05, seed=6, delta=0.3, j_count=2, l_count=2)
+        again = parse_code(serialize_code(code))
+        for field in dataclasses.fields(WiretapCode):
+            built, read = getattr(code, field.name), getattr(again, field.name)
+            assert np.array_equal(built, read) if isinstance(built, np.ndarray) else built == read, field.name
+
     def test_random_code_round_trip(self):
         rc = two_copy_random_code()
         again = parse_random_code(serialize_random_code(rc))
@@ -235,6 +251,23 @@ def staged_files(tmp_path_factory):
 
 
 class TestCommands:
+    def test_closed_pipe_exits_0_without_a_traceback(self):
+        """A reader that closes the pipe early (``avwc ... | head -1``) is not an error."""
+        import avwc
+
+        src = os.path.dirname(os.path.dirname(avwc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "avwc.cli", "structure", sample("adder.avwc"), "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+
     def test_structure_adder(self, capsys):
         code, out, err = run(capsys, "structure", sample("adder.avwc"), "--format", "json")
         assert code == 0
@@ -672,7 +705,7 @@ SYNOPSES = ["structure", "bounds"] + [
 @pytest.mark.parametrize("command", SYNOPSES, ids=[command.replace(" ", "-") for command in SYNOPSES])
 def test_readme_synopsis_lists_every_option(command):
     """README's command-line synopsis names every option of the subcommand or code stage,
-    bracketed unless the option is required."""
+    bracketed unless the option is required, and no option the parser does not declare."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
     synopsis = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
@@ -694,3 +727,6 @@ def test_readme_synopsis_lists_every_option(command):
             if not listed:
                 missing.append(option)
     assert not missing, f"README synopsis of 'avwc {command}' lacks {missing}"
+    declared = {option for action in actions for option in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", line)) == declared
+

@@ -159,18 +159,21 @@ class TestEvaluateCode:
         assert report.worst_state_sequence.symbols == (1, 1, 1)
 
     def test_leakage_refused_when_too_big_instead_of_sampled(self, monkeypatch):
-        avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
+        """Error needs 2 * 2^4 = 32 joint outcomes, under the cap of 100;
+        leakage over a ternary Z needs 2 * 3^4 = 162."""
+        eaves = Channel(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+        avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(eaves,))
         code = make_code([[[0] * 4], [[1] * 4]], 2, 2)
-        monkeypatch.setenv("AVWC_ENUM_CAP", "30")
+        monkeypatch.setenv("AVWC_ENUM_CAP", "100")
         with pytest.raises(ResourceLimitError, match="leakage"):
-            evaluate_code(code, avwc, objectives=("leakage",))
+            evaluate_code(code, avwc)
 
 
 class TestWorstStateSearch:
     def test_single_state(self):
         avwc = AVWC(main=(Channel.bsc(0.1),), eaves=(Channel.bsc(0.4),))
         code = make_code([[[0, 0]], [[1, 1]]], 2, 2, decoder=[0, ERASURE, ERASURE, 1])
-        report = evaluate_code(code, avwc, objectives=("error",))
+        report = evaluate_code(code, avwc)
         assert report.worst_state_sequence.symbols == (0, 0)
 
     def test_noisy_state_dominates(self):
@@ -180,7 +183,7 @@ class TestWorstStateSearch:
         )
         code = make_code([[[0, 0, 0]], [[1, 1, 1]]], 2, 2)
         code = replace(code, decoder=decode_rule(code, avwc, TypicalityParams(3, 0.34)))
-        report = evaluate_code(code, avwc, objectives=("error",))
+        report = evaluate_code(code, avwc)
         assert report.worst_state_sequence.symbols == (1, 1, 1)
 
 
@@ -280,11 +283,6 @@ class TestSecrecyEvents:
         )
         assert failures / trials <= min(1.0, bound)
 
-    def test_requires_design_distribution(self):
-        avwc = AVWC(main=(Channel.bsc(0.05),), eaves=(Channel.bsc(0.3),))
-        code = make_code([[[0, 1]], [[1, 0]]], 2, 2)
-        with pytest.raises(ValueError, match="design input distribution"):
-            check_secrecy_events(code, avwc, TypicalityParams(2, 0.3))
 
 
 def test_tied_maxima_report_the_lexicographically_first_sequence():
@@ -305,14 +303,6 @@ def test_tied_maxima_report_the_lexicographically_first_sequence():
     assert report.worst_leakage_sequence.symbols == (0, 1, 0)  # the cleanest state at position 1
     assert report.worst_state_error == table["error"][6]
     assert report.worst_leakage_bits == table["leakage"][3]
-    for objective, expected in (("error", (0, 2, 0)), ("leakage", (0, 1, 0))):
-        single = evaluate_code(code, avwc, objectives=(objective,))
-        if objective == "error":
-            seq, value = single.worst_state_sequence, single.worst_state_error
-        else:
-            seq, value = single.worst_leakage_sequence, single.worst_leakage_bits
-        assert seq.symbols == expected
-        assert value == table[objective][int(np.ravel_multi_index(expected, (3, 3, 3)))]
 
     # identical members: the prefix state matters for the error only, never for the payload leakage
     rc = RandomCode(members=[code, code], origin="explicit")
@@ -330,10 +320,10 @@ def test_secrecy_events_do_not_depend_on_the_chunk_budget(monkeypatch):
     code = build_random_codebook(
         Distribution.uniform(2), avwc, 6, tau=0.05, seed=3, delta=0.3, j_count=2, l_count=3
     )
-    tp = TypicalityParams(6, 0.3)
-    batched = check_secrecy_events(code, avwc, tp, epsilon=0.2)
+    p, tp = Distribution.uniform(2), TypicalityParams(6, 0.3)
+    batched = check_secrecy_events(code, avwc, tp, p)
     monkeypatch.setattr(channels, "_CHUNK_FLOATS", 1)
-    assert dataclasses.astuple(check_secrecy_events(code, avwc, tp, epsilon=0.2)) == dataclasses.astuple(batched)
+    assert dataclasses.astuple(check_secrecy_events(code, avwc, tp, p)) == dataclasses.astuple(batched)
 
 
 def _broadcast_product_output_law(codewords, channels):

@@ -124,10 +124,6 @@ class TestJointMutualInformation:
         joint = np.array([[0.4, 0.1], [0.1, 0.4]])
         assert joint_mutual_information(joint) == pytest.approx(0.278072, abs=1e-6)
 
-    def test_flat_distribution_input(self):
-        joint = Distribution(np.array([0.4, 0.1, 0.1, 0.4]))
-        assert joint_mutual_information(joint, 2, 2) == pytest.approx(0.278072, abs=1e-6)
-
     def test_agrees_with_divergence_from_marginal_product(self):
         rng = np.random.default_rng(14)
         for _ in range(10):

@@ -321,7 +321,7 @@ class TestEliminateRandomness:
         rc = RandomCode(members=[m1, m2], origin="reduced")
         outcome = eliminate_randomness(rc, avwc, prefix_len=2)
         report = outcome.report
-        direct = evaluate_code(outcome.code, avwc, objectives=("error",))
+        direct = evaluate_code(outcome.code, avwc)
         assert direct.worst_state_error == pytest.approx(report.worst_total_error, abs=1e-12)
 
         # the combined code as a J-message code whose K*L randomizers are the (member, l) pairs
@@ -329,7 +329,7 @@ class TestEliminateRandomness:
         words = combined.codewords.reshape(2, 2, 2, combined.n).transpose(1, 0, 2, 3)
         decoder = np.where(combined.decoder == ERASURE, ERASURE, combined.decoder % 2)
         payload = make_code(words.reshape(2, 4, combined.n), 2, 2, decoder=decoder)
-        leak = evaluate_code(payload, avwc, objectives=("leakage",)).worst_leakage_bits
+        leak = evaluate_code(payload, avwc).worst_leakage_bits
         assert leak > 0.0
         assert leak == pytest.approx(report.worst_payload_leakage, abs=1e-12)
         attained = leakage_bits(payload, avwc, report.worst_leakage_sequence)

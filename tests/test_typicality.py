@@ -62,12 +62,12 @@ class TestCondTypicalSet:
             w = Channel(rng.dirichlet(np.ones(2), size=2))
             tp = TypicalityParams(5, 0.15)
             out = Distribution(p.probs @ w.rows)
-            wide_mask = typical_mask(out, TypicalityParams(5, 2 * 2 * 0.15))
             from avwc.channels import word_matrix
 
+            outputs = word_matrix(2, 5)
+            wide_mask = typical_mask(out, TypicalityParams(5, 2 * 2 * 0.15), outputs)
             in_words = word_matrix(2, 5)
             in_mask = typical_mask(p, tp, in_words)
-            outputs = word_matrix(2, 5)
             for x in in_words[in_mask]:
                 cmask = cond_typical_mask(w, x, tp, outputs)
                 assert not np.any(cmask & ~wide_mask)
