@@ -81,7 +81,10 @@ class BoundOptions:
 
     The counts may be 0, except that both grid denominators must be at least
     1, ``outer_q_points`` at least 2 (a grid of step 1), and ``aux_starts`` at
-    least 2: the auxiliary ascent always runs its two fixed starts.
+    least 2: the auxiliary maximum always runs its two fixed starts, the
+    ascent over input laws (U = X) and the pair ascent from that ascent's
+    optimum; ``aux_starts`` - 2 further pair-ascent starts come from the
+    start sequences.
     """
 
     starts: int = 32
@@ -173,20 +176,13 @@ def _line_max(fn: Callable[[np.ndarray], np.ndarray], rows: int, iters: int) -> 
 # ---------------------------------------------------------------------------
 
 def min_mi_over_mixtures(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
-    """min over q of I(p, sum_s q_s W_s); convex in q.
+    """min over q of I(p, sum_s q_s W_s) for each row of ``px``; convex in q.
 
-    ``px`` is one input law (A,), giving ``(value, q)`` with q of shape (S,),
-    or a batch (N, A), giving values (N,) and weights (N, S).
+    ``px`` is a batch of input laws (N, A); returns values (N,) and weights (N, S).
     """
-    px = np.asarray(px, dtype=float)
-    batch = np.atleast_2d(px)
     if stack.shape[0] == 1:
-        values, q = mi_batch(batch, stack[0]), np.ones((len(batch), 1))
-    else:
-        values, q = _pairwise_fw_min(batch, stack, opts)
-    if px.ndim == 1:
-        return float(values[0]), q[0]
-    return values, q
+        return mi_batch(px, stack[0]), np.ones((len(px), 1))
+    return _pairwise_fw_min(px, stack, opts)
 
 
 def _pairwise_fw_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
@@ -315,7 +311,9 @@ def maximize_over_simplex(
 ) -> tuple[np.ndarray, float, float, tuple]:
     """Multi-start ascent plus grid sweep; returns (p, value, grid_best, trace).
 
-    ``fn`` maps an (N, dim) array of input laws to their N values.
+    ``fn`` maps an (N, dim) array of input laws to their N values.  Start 0 is
+    the grid's best point and no ascent lowers its start, so ``value`` is
+    never below ``grid_best``.
     """
     denom = opts.p_grid_denominator if dim <= 3 else _COARSE_GRID_DENOMINATOR
     grid = np.array(list(simplex_grid(dim, denom)))
@@ -330,8 +328,6 @@ def maximize_over_simplex(
     ]
     trace.append({"stage": "grid", "denominator": denom, "value": grid_best})
     k = int(np.argmax(vals))
-    if grid_best > vals[k]:
-        return grid_arg, grid_best, grid_best, tuple(trace)
     return ps[k], float(vals[k]), grid_best, tuple(trace)
 
 
@@ -356,9 +352,10 @@ def _max_aux_gap(
         return mi_batch(pu, y_rows).min(axis=1) - mi_batch(pu, z_rows).max(axis=1)
 
     # route 1: deterministic identity embedding, ascent over the input law only
-    p_best, p_val, _, _ = maximize_over_simplex(lambda px: gap(px, y_stack, z_stack), input_count, opts)
+    p_best = maximize_over_simplex(lambda px: gap(px, y_stack, z_stack), input_count, opts)[0]
 
-    # route 2: ascent over p_u and the rows of X|U, flattened into one vector
+    # route 2: ascent over p_u and the rows of X|U, flattened into one vector,
+    # from route 1's optimum embedded as U = X; no row ends below its start
     def pair_gap(points: np.ndarray) -> np.ndarray:
         x_rows = points[:, None, u_size:].reshape(len(points), 1, u_size, input_count)
         return gap(points[:, :u_size], x_rows @ y_stack, x_rows @ z_stack)
@@ -366,26 +363,16 @@ def _max_aux_gap(
     blocks = [slice(0, u_size)] + [
         slice(u_size + u * input_count, u_size + (u + 1) * input_count) for u in range(u_size)
     ]
-    embed_rows = np.eye(input_count)[np.arange(u_size) % input_count]
     embed_pu = np.zeros(u_size)
     embed_pu[:input_count] = p_best
-    starts = [
-        np.concatenate([embed_pu, embed_rows.ravel()]),
-        np.concatenate(
-            [np.full(u_size, 1.0 / u_size), np.full(embed_rows.size, 1.0 / input_count)]
-        ),
-    ]
+    starts = [np.concatenate([embed_pu, np.eye(input_count)[np.arange(u_size) % input_count].ravel()])]
+    # further starts take p_u and the rows of X|U from the start sequences, past their uniform points
     extra = opts.aux_starts - 2
-    if extra:
-        # further starts take p_u and the rows of X|U from the start sequences, past their uniform points
-        pus = _start_sequence(u_size, u_size + 1 + extra)[u_size + 1:]
-        rows = _start_sequence(input_count, input_count + 1 + extra * u_size)[input_count + 1:]
-        starts += [np.concatenate([pus[i], *rows[i * u_size:(i + 1) * u_size]]) for i in range(extra)]
+    pus = _start_sequence(u_size, u_size + 1 + extra)[u_size + 1:]
+    rows = _start_sequence(input_count, input_count + 1 + extra * u_size)[input_count + 1:]
+    starts += [np.concatenate([pus[i], *rows[i * u_size:(i + 1) * u_size]]) for i in range(extra)]
     points, vals, _ = _ascend(pair_gap, np.array(starts), blocks, opts.aux_iters, opts)
     k = int(np.argmax(vals))
-
-    if p_val >= vals[k]:
-        return p_val, AuxiliaryChannelPair(Distribution(embed_pu), Channel(embed_rows))
     pair = AuxiliaryChannelPair(
         Distribution(points[k, :u_size]),
         Channel(points[k, u_size:].reshape(u_size, input_count)),
@@ -450,11 +437,11 @@ def secrecy_lower_bound(avwc: AVWC, opts: BoundOptions | None = None) -> BoundRe
         return wmin - mi_batch(px[:, None, :], vstack).max(axis=1)
 
     best_p, _, _, trace = maximize_over_simplex(objective, avwc.input_size, opts)
-    wmin, qmin = min_mi_over_mixtures(best_p, wstack, opts)
+    (wmin,), (qmin,) = min_mi_over_mixtures(best_p[None], wstack, opts)
     vvals = mi_batch(best_p, vstack)
     s_star = int(np.argmax(vvals))
     return BoundResult(
-        value=wmin - float(vvals[s_star]),
+        value=float(wmin - vvals[s_star]),
         argmax_p=Distribution(best_p),
         inner_argmin_q=Distribution(qmin),
         inner_argmax_state=s_star,
@@ -478,7 +465,8 @@ def avc_capacity(
         return min_mi_over_mixtures(px, stack, opts)[0]
 
     best_p, _, _, trace = maximize_over_simplex(objective, stack.shape[1], opts)
-    value, qmin = min_mi_over_mixtures(best_p, stack, opts)
+    (value,), (qmin,) = min_mi_over_mixtures(best_p[None], stack, opts)
+    value = float(value)
     sym = test_symmetrisable(list(main), opts.structure_tol)
     return BoundResult(
         value=value,

@@ -262,7 +262,7 @@ def evaluate_code(code: WiretapCode, avwc: AVWC, keep_table: bool = False) -> Ev
 
 def codebook_rates(p: Distribution, avwc: AVWC, n: int, tau: float) -> tuple[int, int, float, float]:
     """(J_n, L_n) and the two exponent terms behind them."""
-    w_min, _ = min_mi_over_mixtures(p.probs, avwc.main_stack, BoundOptions())
+    w_min = float(min_mi_over_mixtures(p.probs[None], avwc.main_stack, BoundOptions())[0][0])
     v_max = max(mi_from_arrays(p.probs, rows) for rows in avwc.eaves_stack)
     j_exponent = n * (w_min - v_max - tau)
     l_exponent = n * (v_max + tau / 4.0)

@@ -300,7 +300,6 @@ def reduce_random_code(
             "best_worst_mean_error": best[0],
             "best_worst_mean_leakage": best[1],
             "attempts": _RETRY_CAP,
-            "estimated_failure_probability": 1.0,
         },
     )
 

@@ -18,6 +18,7 @@ from avwc import (
     secrecy_upper_bound_single_letter,
 )
 from avwc.bounds import (
+    _ascend,
     _line_max,
     _scan_min_over_q,
     _start_sequence,
@@ -90,7 +91,7 @@ class TestSimplexHelpers:
         rng = np.random.default_rng(51)
         stack = np.stack([rng.dirichlet(np.ones(2), size=2) for _ in range(2)])
         p = rng.dirichlet(np.ones(2))
-        val, q = min_mi_over_mixtures(p, stack, FAST)
+        (val,), (q,) = min_mi_over_mixtures(p[None], stack, FAST)
         scan = min(
             mi_from_arrays(p, (1 - t) * stack[0] + t * stack[1])
             for t in np.linspace(0, 1, 2001)
@@ -102,7 +103,7 @@ class TestSimplexHelpers:
         rng = np.random.default_rng(52)
         stack = np.stack([rng.dirichlet(np.ones(3), size=2) for _ in range(3)])
         p = rng.dirichlet(np.ones(2))
-        val, q = min_mi_over_mixtures(p, stack, FAST)
+        (val,), _ = min_mi_over_mixtures(p[None], stack, FAST)
         scan = min(mi_from_arrays(p, np.tensordot(g, stack, axes=1)) for g in simplex_grid(3, 64))
         assert val <= scan + 1e-6
 
@@ -121,10 +122,10 @@ class TestSimplexHelpers:
         grid = np.array(list(simplex_grid(3, FAST.q_grid_denominator)))
         start = grid[np.argmin([mi_from_arrays(p, np.tensordot(g, stack, axes=1)) for g in grid])]
         assert start[2] > 0.0
-        val, q = min_mi_over_mixtures(p, stack, FAST)
+        (val,), (q,) = min_mi_over_mixtures(p[None], stack, FAST)
         # a pairwise step can move all of a state's mass away; plain FW only shrinks it
         assert q[2] == 0.0
-        assert val == pytest.approx(min_mi_over_mixtures(p, stack[:2], FAST)[0], abs=1e-12)
+        assert val == pytest.approx(min_mi_over_mixtures(p[None], stack[:2], FAST)[0][0], abs=1e-12)
 
 
 class TestOuterScan:
@@ -170,7 +171,7 @@ class TestBatchedOptimizers:
             scan = min(mi_from_arrays(p, rows) for rows in mixtures)
             assert scan - below <= val <= scan + 1e-9
             assert mi_from_arrays(p, np.tensordot(q, stack, axes=1)) == pytest.approx(val, abs=1e-12)
-            assert min_mi_over_mixtures(p, stack, FAST)[0] == pytest.approx(val, abs=1e-9)
+            assert min_mi_over_mixtures(p[None], stack, FAST)[0][0] == pytest.approx(val, abs=1e-9)
 
     @pytest.mark.parametrize("iters", [10, 20, 30])
     def test_line_search_lands_within_golden_bracket(self, iters):
@@ -213,7 +214,7 @@ class TestSecrecyLowerBound:
     def test_value_consistent_with_returned_arguments(self, degraded_two_state_avwc):
         result = secrecy_lower_bound(degraded_two_state_avwc, FAST)
         p = result.argmax_p
-        wmin, _ = min_mi_over_mixtures(p.probs, degraded_two_state_avwc.main_stack, FAST)
+        (wmin,), _ = min_mi_over_mixtures(p.probs[None], degraded_two_state_avwc.main_stack, FAST)
         vmax = mutual_information(p, degraded_two_state_avwc.eaves[result.inner_argmax_state])
         assert result.value == pytest.approx(wmin - vmax, abs=1e-9)
 
@@ -229,7 +230,7 @@ class TestSecrecyLowerBound:
             assert mi_from_arrays(p, np.tensordot(q_try, stack, axes=1)) >= base_inner - 1e-6
 
         def objective(px):
-            wmin, _ = min_mi_over_mixtures(px, stack, FAST)
+            (wmin,), _ = min_mi_over_mixtures(px[None], stack, FAST)
             vmax = max(
                 mi_from_arrays(px, rows) for rows in degraded_two_state_avwc.eaves_stack
             )
@@ -395,6 +396,43 @@ def test_start_sequence_opens_with_the_vertices_then_the_uniform_law(dim):
         assert np.array_equal(more[: dim + 1], np.array(starts))
         assert len({tuple(p) for p in more}) == 20
         assert np.allclose(more.sum(axis=1), 1.0) and (more >= 0.0).all()
+
+
+@pytest.mark.parametrize("layout", ["input-law", "aux-pair"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ascent_never_lowers_a_row_and_keeps_every_block_a_law(layout, seed):
+    """The bounds report their ascent's best row, with the seed point as row 0.
+
+    That is sound only if no row ends below its start value and every block
+    stays a probability vector; checked on I(.;Y) - I(.;Z) for a random
+    channel pair, over input laws and over (p_u, X|U) as in the upper bounds.
+    """
+    rng = np.random.default_rng(80 + seed)
+    a, u = 3, 4
+    w, v = (rng.dirichlet(np.full(3, 0.7), size=a) for _ in range(2))
+    if layout == "input-law":
+        blocks = [slice(0, a)]
+        starts = np.vstack([np.eye(a)[:1], np.full((1, a), 1.0 / a), rng.dirichlet(np.full(a, 0.5), size=6)])
+
+        def fn(points):
+            return mi_batch(points, w) - mi_batch(points, v)
+    else:
+        blocks = [slice(0, u)] + [slice(u + i * a, u + (i + 1) * a) for i in range(u)]
+        embedded = np.concatenate([rng.dirichlet(np.ones(a)), [0.0], np.eye(a)[np.arange(u) % a].ravel()])
+        drawn = [np.concatenate([rng.dirichlet(np.full(n, 0.5)) for n in [u] + [a] * u]) for _ in range(6)]
+        starts = np.vstack([embedded] + drawn)
+
+        def fn(points):
+            pu, x_rows = points[:, :u], points[:, u:].reshape(len(points), u, a)
+            return mi_batch(pu, x_rows @ w) - mi_batch(pu, x_rows @ v)
+
+    points, values, iters = _ascend(fn, starts, blocks, 30, FAST)
+    assert np.all(values >= fn(starts))
+    assert (iters >= 1).all() and (values > fn(starts)).any()
+    assert values == pytest.approx(fn(points), abs=1e-9)
+    for block in blocks:
+        assert (points[:, block] >= 0.0).all()
+        assert np.allclose(points[:, block].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bound", [
