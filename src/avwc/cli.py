@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_structure = sub.add_parser("structure", help="symmetrisability and best-channel tests")
     p_structure.add_argument("spec")
-    p_structure.add_argument("--tol", type=float, default=1e-8)
+    p_structure.add_argument("--tol", type=_positive_float, default=1e-8)
     p_structure.add_argument("--format", choices=("json", "text"), default="text")
     p_structure.set_defaults(handler=cmd_structure)
 

@@ -272,8 +272,8 @@ def codebook_rates(p: Distribution, avwc: AVWC, n: int, tau: float) -> tuple[int
 def sample_codeword_indices(weights: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Counter-based sampling: draw ``count`` indices, one Philox stream each.
 
-    Identical seeds reproduce identical draws bit for bit, independent of
-    evaluation order, which keeps parallel builders deterministic.
+    Draw t depends only on (seed, t): identical seeds reproduce identical
+    draws bit for bit, and a longer draw extends a shorter one.
     """
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
@@ -301,10 +301,14 @@ def build_random_codebook(
     eavesdropper rate less tau, L_n from the eavesdropper rate plus tau/4.
     A negative message exponent raises with the computed value.  Explicit
     ``j_count``/``l_count`` overrides skip the rate formula, which the rate
-    exponents make unavoidable for deliberate experiments at tiny n.
+    exponents make unavoidable for deliberate experiments at tiny n; each
+    must be at least 1 (a rate-derived L_n always is: its exponent is positive).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    for name, count in (("j_count", j_count), ("l_count", l_count)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     tp = TypicalityParams(n, delta)
     j_exp = None  # no rate exponent when both counts are given
     if j_count is None or l_count is None:
@@ -319,7 +323,6 @@ def build_random_codebook(
                 "the requested tau exceeds the achievable rate gap",
                 exponent=j_exp,
             )
-    l_count = max(1, l_count)
 
     words = word_matrix(p.support_size, n)
     mask = typical_mask(p, tp, words)

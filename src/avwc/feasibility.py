@@ -103,8 +103,8 @@ def solve_feasibility(system: LinearSystem, tol: float = DEFAULT_TOL) -> Feasibi
     Deterministic for identical input: entering variable is the lowest
     eligible index and ratio ties break on the lowest basic-variable index.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     objective, x, residual = _phase1(system.a, system.b)
     if objective <= tol:
         if residual > 10.0 * tol:

@@ -10,6 +10,11 @@ a member's permutation from its index and never lists the n! of them; only
 the explicit reference average in ``permutation_mean_error`` walks the group,
 so only it is held to the enumeration cap at n!.
 
+Three tables are each computed in one place: word compositions (symbol counts),
+which give type classes, γ's types and the prefix pool; every word's index after
+a positional shuffle, which re-indexes a member's decoder and tables; and the prefix
+pool's Hamming table, built a row at a time, which scores both prefix searches.
+
 Elimination checks the combined code without building its laws: all K*J
 member messages take one ``output_law`` call per chunk of payload sequences
 and channel, the chunks sized from those member laws alone, and the payload
@@ -25,7 +30,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +43,6 @@ from .channels import (
     iid_extension,
     output_law,
     sequence_symbols,
-    simplex_grid,
     word_matrix,
 )
 from .coding import (
@@ -64,22 +68,22 @@ def permute_word(word: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(word[sigma[i]]) for i in range(len(sigma)))
 
 
+def _compositions(words: np.ndarray, k: int) -> np.ndarray:
+    """(count, k) symbol counts of each row of an array of words over k symbols."""
+    return (words[:, :, None] == np.arange(k)).sum(axis=1)
+
+
+def _shuffled_indices(words: np.ndarray, k: int, sigma: Sequence[int]) -> np.ndarray:
+    """Lexicographic index of each row of ``word_matrix(k, n)`` after the shuffle by sigma."""
+    return words[:, list(sigma)] @ k ** np.arange(words.shape[1] - 1, -1, -1)
+
+
 def _apply_inverse_permutation(code: WiretapCode, sigma: Sequence[int]) -> WiretapCode:
     """Member code with codewords and decoding sets shuffled by the inverse map."""
-    n = code.n
-    sigma = tuple(sigma)
-    sigma_inv = tuple(int(v) for v in np.argsort(sigma))
-    codewords = code.codewords[:, :, list(sigma_inv)]
-    outputs = word_matrix(code.output_size, n)
-    powers = code.output_size ** np.arange(n - 1, -1, -1)
-    permuted_indices = outputs[:, list(sigma)] @ powers
-    decoder = code.decoder[permuted_indices]
-    return WiretapCode(
-        n=n,
-        input_size=code.input_size,
-        output_size=code.output_size,
-        codewords=codewords,
-        decoder=decoder,
+    return replace(
+        code,
+        codewords=code.codewords[:, :, np.argsort(sigma)],
+        decoder=code.decoder[_shuffled_indices(word_matrix(code.output_size, code.n), code.output_size, sigma)],
     )
 
 
@@ -129,13 +133,9 @@ def robustify(code: WiretapCode, avwc: AVWC) -> RandomCode:
 def type_class_sequences(s, state_count: int) -> list[tuple[int, ...]]:
     """Distinct sequences sharing the type of s, lexicographic order."""
     symbols = sequence_symbols(s, state_count)
-    check_enumeration(state_count ** len(symbols), "type class enumeration")
-    key = sorted(symbols)
-    return [
-        seq
-        for seq in itertools.product(range(state_count), repeat=len(symbols))
-        if sorted(seq) == key
-    ]
+    words = word_matrix(state_count, len(symbols))
+    key = _compositions(np.array(symbols, dtype=int)[None], state_count)
+    return [tuple(w) for w in words[(_compositions(words, state_count) == key).all(axis=1)].tolist()]
 
 
 def permutation_mean_error(
@@ -187,17 +187,14 @@ def verify_robustification(code: WiretapCode, avwc: AVWC) -> RobustificationRepo
     check_enumeration(s_count**n, "robustification verification")
     sequences = word_matrix(s_count, n)
     success = 1.0 - sequence_table(code, avwc, ("error",))["error"]
-
-    gamma = 0.0
-    for q in (Distribution(p) for p in simplex_grid(s_count, n)):
-        gamma = max(gamma, 1.0 - float(iid_extension(q, n).probs @ success))
+    types, type_index = np.unique(_compositions(sequences, s_count), axis=0, return_inverse=True)
+    type_index = type_index.reshape(-1)  # numpy 2.0.0 returns it as a column
+    laws = (iid_extension(Distribution(t / n), n).probs for t in types)
+    gamma = max(0.0, *(1.0 - float(law @ success) for law in laws))
 
     coefficient = 3.0 * (n + 1) ** s_count
     bound = 1.0 - coefficient * gamma
     # the group average at s is the mean success over the type class of s
-    counts = (sequences[:, :, None] == np.arange(s_count)).sum(axis=1)
-    _, type_index = np.unique(counts, axis=0, return_inverse=True)
-    type_index = type_index.reshape(-1)  # numpy 2.0.0 returns it as a column
     averaged = np.bincount(type_index, weights=success) / np.bincount(type_index)
     return RobustificationReport(
         gamma=gamma,
@@ -230,12 +227,10 @@ def _member_tables(members: Sequence[WiretapCode], avwc: AVWC):
     if not isinstance(members, PermutationFamily):
         return functools.cache(lambda index: sequence_table(members[index], avwc))
     base = sequence_table(members.base, avwc)
-    n, s_count = members.base.n, avwc.state_count
-    sequences = word_matrix(s_count, n)
-    powers = s_count ** np.arange(n - 1, -1, -1)
+    sequences = word_matrix(avwc.state_count, members.base.n)
 
     def table(index: int) -> dict[str, np.ndarray]:
-        shuffled = sequences[:, list(members.permutation(index))] @ powers
+        shuffled = _shuffled_indices(sequences, avwc.state_count, members.permutation(index))
         return {name: values[shuffled] for name, values in base.items()}
 
     return table
@@ -314,19 +309,13 @@ class PrefixCode:
     decoder: np.ndarray  # (output_size**prefix_len,) member index
 
 
-def _constant_composition_pool(length: int, alphabet: int, minimum: int) -> list[tuple[int, ...]]:
-    """Words of whole composition classes, most balanced first, until ``minimum`` are pooled."""
-    compositions = sorted(
-        (tuple(int(c) for c in np.rint(p * length)) for p in simplex_grid(alphabet, length)),
-        key=lambda c: (max(c), c),
-    )
-    pool: list[tuple[int, ...]] = []
-    for comp in compositions:
-        symbols = [s for s, cnt in enumerate(comp) for _ in range(cnt)]
-        pool.extend(type_class_sequences(symbols, alphabet))
-        if len(pool) >= minimum:
-            break
-    return pool
+def _constant_composition_pool(length: int, alphabet: int, minimum: int) -> np.ndarray:
+    """Indices into ``word_matrix(alphabet, length)`` of whole composition classes, most
+    balanced first (by max count, then counts, then index), until ``minimum`` are pooled."""
+    counts = _compositions(word_matrix(alphabet, length), alphabet)
+    order = np.lexsort((*counts.T[::-1], counts.max(axis=1)))  # stable, so ties keep index order
+    in_last_class = (counts[order] == counts[order[minimum - 1]]).all(axis=1)
+    return order[: np.flatnonzero(in_last_class)[-1] + 1]
 
 
 def search_prefix_code(avwc: AVWC, k_count: int, prefix_len: int) -> PrefixCode:
@@ -344,34 +333,25 @@ def search_prefix_code(avwc: AVWC, k_count: int, prefix_len: int) -> PrefixCode:
             f"{k_count} prefix messages cannot fit into {a}^{prefix_len} words"
         )
     pool = _constant_composition_pool(prefix_len, a, k_count)
-    if len(pool) < k_count:
-        pool = [tuple(row) for row in word_matrix(a, prefix_len)]
+    words = word_matrix(a, prefix_len)[pool]
+    # the pool's Hamming table, each row built when the search first reads it
+    hamming = functools.cache(lambda i: (words != words[i]).sum(axis=1).tolist())
 
-    def score(words: Sequence[tuple[int, ...]]) -> tuple[int, int]:
-        dists = [
-            sum(1 for u, v in zip(w1, w2) if u != v)
-            for w1, w2 in itertools.combinations(words, 2)
-        ]
+    def score(subset: Sequence[int]) -> tuple[int, int]:
+        dists = [hamming(u)[v] for u, v in itertools.combinations(subset, 2)]
         return (min(dists), sum(dists)) if dists else (prefix_len, 0)
 
-    best_words = None
-    best_score = (-1, -1)
-    if math.comb(len(pool), k_count) <= _SUBSET_CAP:
-        for subset in itertools.combinations(pool, k_count):
-            sc = score(subset)
-            if sc > best_score:
-                best_score = sc
-                best_words = subset
+    if math.comb(len(pool), k_count) <= _SUBSET_CAP:  # max keeps the first best subset
+        chosen = list(max(itertools.combinations(range(len(pool)), k_count), key=score))
     else:
-        chosen = [pool[0]]
+        chosen = [0]
+        nearest = np.array(hamming(0))
         while len(chosen) < k_count:
-            def min_dist(word):
-                return min(sum(1 for u, v in zip(word, w) if u != v) for w in chosen)
-            candidate = max((w for w in pool if w not in chosen), key=lambda w: (min_dist(w), w))
-            chosen.append(candidate)
-        best_words = tuple(chosen)
+            # farthest from the chosen words (each at distance 0), ties to the lexicographically last
+            chosen.append(int(np.lexsort((pool, nearest))[-1]))
+            nearest = np.minimum(nearest, hamming(chosen[-1]))
 
-    codewords = np.array(best_words, dtype=int)
+    codewords = words[chosen]
     uniform = Distribution.uniform(avwc.state_count)
     mixed = np.tensordot(uniform.probs, avwc.main_stack, axes=1)
     # p(y | codeword i) of the K-message, L = 1 code under the mixed channel at every position

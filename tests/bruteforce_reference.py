@@ -1,9 +1,9 @@
-"""Independent brute-force reference for code evaluation.
+"""Independent brute-force reference for code evaluation and the prefix search.
 
 Deliberately written with plain Python loops, dictionaries and math.log2,
 sharing no enumeration helpers or numpy kernels with the package, so it can
 serve as a second implementation when checking exact error and leakage
-values.
+values and the prefix codewords.
 """
 
 import itertools
@@ -72,3 +72,43 @@ def brute_worst_case(codewords, decoder_map, main_rows, eaves_rows, state_count,
         worst_error = max(worst_error, err)
         worst_leak = max(worst_leak, leak)
     return worst_error, worst_leak
+
+
+def composition_classes(length, alphabet):
+    """The words' composition classes in (max count, counts) order, each lexicographic."""
+    words = list(itertools.product(range(alphabet), repeat=length))
+    counts = {w: tuple(w.count(s) for s in range(alphabet)) for w in words}
+    order = sorted(set(counts.values()), key=lambda c: (max(c), c))
+    return [[w for w in words if counts[w] == comp] for comp in order]
+
+
+def composition_pool(classes, minimum):
+    """Whole classes, in order, until at least ``minimum`` words are pooled."""
+    pool = []
+    for members in classes:
+        pool += members
+        if len(pool) >= minimum:
+            break
+    return pool
+
+
+def prefix_words(alphabet, k_count, prefix_len, subset_cap):
+    """Prefix codewords: the first subset of the pool with the best (min, total) pairwise
+    Hamming distance when at most ``subset_cap`` subsets exist, else greedily the word
+    farthest from those chosen, ties to the lexicographically last."""
+    pool = composition_pool(composition_classes(prefix_len, alphabet), k_count)
+
+    def dist(u, v):
+        return sum(1 for x, y in zip(u, v) if x != y)
+
+    def score(words):
+        dists = [dist(u, v) for u, v in itertools.combinations(words, 2)]
+        return (min(dists), sum(dists)) if dists else (prefix_len, 0)
+
+    if math.comb(len(pool), k_count) <= subset_cap:
+        return list(max(itertools.combinations(pool, k_count), key=score))
+    chosen = [pool[0]]
+    while len(chosen) < k_count:
+        rest = (w for w in pool if w not in chosen)
+        chosen.append(max(rest, key=lambda w: (min(dist(w, c) for c in chosen), w)))
+    return chosen

@@ -353,6 +353,13 @@ class TestCommands:
             assert lower["deterministic_value_bits_per_use"] == lower["value_bits_per_use"]
             assert results["gap_upper_minus_deterministic_lower"] == results["gap_upper_minus_lower"]
 
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_structure_tolerance_must_be_positive_and_finite(self, capsys, value):
+        with pytest.raises(SystemExit) as exited:
+            main(["structure", sample("degraded_pair.avwc"), "--tol", value])
+        assert exited.value.code == 2
+        assert f"must be a positive number, got {float(value)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-2"), ("--starts", "0")])
     def test_bounds_rejects_counts_below_one(self, capsys, flag, value):
         # 0 must not stand for the default, nor a negative grid drop the grid floor

@@ -89,6 +89,16 @@ class TestCodebookRates:
             )
         assert err.value.exponent is None
 
+    @pytest.mark.parametrize(
+        "counts",
+        [dict(j_count=2, l_count=0), dict(j_count=2, l_count=-3), dict(l_count=0), dict(j_count=-1, l_count=2)],
+    )
+    def test_explicit_counts_below_one_raise(self, degraded_two_state_avwc, counts):
+        # refused as given, not rounded up to 1 nor left to a numpy shape error
+        name = next(k for k, v in counts.items() if v < 1)
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            build_random_codebook(Distribution.uniform(2), degraded_two_state_avwc, 4, tau=0.1, seed=0, **counts)
+
     def test_point_mass_input_gives_constant_codewords(self):
         avwc = AVWC(main=(Channel.bsc(0.0),), eaves=(Channel.bsc(0.5),))
         code = build_random_codebook(

@@ -46,6 +46,13 @@ class TestBasics:
         assert result.feasible
         assert_sound(system, result)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # an infinite tolerance would accept any system, a NaN one none
+        system = LinearSystem(np.array([[1.0, 1.0]]), np.array([-1.0]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_feasibility(system, tol)
+
     def test_deterministic(self):
         rng = np.random.default_rng(22)
         a = rng.normal(size=(4, 7))

@@ -245,11 +245,13 @@ class TestReduceRandomCode:
 
 class TestPrefixSearch:
     def test_small_exhaustive_search(self, pipeline_avwc):
-        for k_count, prefix_len in ((4, 3), (1, 0)):
+        for k_count, prefix_len in ((4, 3), (1, 0), (4, 6), (5, 5)):
             prefix = search_prefix_code(pipeline_avwc, k_count, prefix_len)
             assert prefix.codewords.shape == (k_count, prefix_len)
             assert len({tuple(w) for w in prefix.codewords}) == k_count
             assert prefix.decoder.shape == (2**prefix_len,)
+            reference = brute.prefix_words(2, k_count, prefix_len, pipeline._SUBSET_CAP)
+            assert list(map(tuple, prefix.codewords.tolist())) == reference
 
     def test_greedy_search_beyond_the_subset_cap(self, pipeline_avwc):
         # the pool is the C(10, 5) = 252 balanced words, and C(252, 8) subsets are too many to score
@@ -258,6 +260,7 @@ class TestPrefixSearch:
         assert prefix.codewords.shape == (8, 10)
         assert len({tuple(w) for w in prefix.codewords}) == 8
         assert (prefix.codewords.sum(axis=1) == 5).all()
+        assert list(map(tuple, prefix.codewords.tolist())) == brute.prefix_words(2, 8, 10, pipeline._SUBSET_CAP)
         assert prefix.decoder.shape == (2**10,) and set(prefix.decoder) <= set(range(8))
         # each codeword received without error decodes to itself
         words = channels.word_matrix(2, 10)
@@ -267,6 +270,24 @@ class TestPrefixSearch:
     def test_overfull_message_set_raises(self, pipeline_avwc):
         with pytest.raises(PrefixSearchFailureError):
             search_prefix_code(pipeline_avwc, 9, 3)
+
+    @pytest.mark.parametrize("prefix_len", range(4))
+    def test_full_message_set_uses_every_word_once(self, pipeline_avwc, prefix_len):
+        # K = 2^L takes every composition class; at L = 0 the one empty word is the pool
+        prefix = search_prefix_code(pipeline_avwc, 2**prefix_len, prefix_len)
+        assert prefix.codewords.shape == (2**prefix_len, prefix_len)
+        assert sorted(map(tuple, prefix.codewords.tolist())) == list(
+            itertools.product(range(2), repeat=prefix_len)
+        )
+
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    @pytest.mark.parametrize("length", range(7))
+    def test_constant_composition_pool_matches_a_plain_reference(self, length, alphabet):
+        classes = brute.composition_classes(length, alphabet)
+        matrix = channels.word_matrix(alphabet, length)
+        for minimum in range(1, alphabet**length + 1):
+            pool = pipeline._constant_composition_pool(length, alphabet, minimum)
+            assert list(map(tuple, matrix[pool].tolist())) == brute.composition_pool(classes, minimum)
 
 
 class TestEliminateRandomness:
@@ -339,6 +360,9 @@ def test_type_class_sequences_order():
     seqs = type_class_sequences((1, 0, 0), 2)
     assert seqs == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert type_class_sequences((2, 0, 2), 3) == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    assert type_class_sequences((), 3) == [()]
+    for s in ((3, 0, 1, 3), (2, 2, 2), (0, 1, 2, 3), (3, 1, 0, 1, 3)):
+        assert type_class_sequences(s, 4) == sorted(set(itertools.permutations(s)))
 
 
 @st.composite
