@@ -27,9 +27,6 @@ from .channels import (
     iid_extension,
     index_to_word,
     mixture_channel,
-    product_channel_matrix,
-    product_channel_prob,
-    word_to_index,
 )
 from .coding import (
     ERASURE,
@@ -56,12 +53,6 @@ from .errors import (
     SpecFormatError,
 )
 from .feasibility import FeasibilityResult, LinearSystem, solve_feasibility
-from .information import (
-    entropy,
-    joint_mutual_information,
-    kl_divergence,
-    mutual_information,
-)
 from .pipeline import (
     EliminationResult,
     PermutationFamily,
@@ -84,7 +75,5 @@ from .structure import (
 from .typicality import (
     TypicalityParams,
     TypicalityReport,
-    cond_typical_set,
-    typical_set,
     verify_typicality_bounds,
 )

@@ -193,7 +193,7 @@ def _pairwise_fw_min(px: np.ndarray, stack: np.ndarray, opts: BoundOptions):
     away state's mass, so a state can leave the support exactly.  A row stops
     once its Frank-Wolfe gap is at most 1e-8 or its line search stays at 0.
     """
-    grid = np.array(list(simplex_grid(stack.shape[0], opts.q_grid_denominator)))
+    grid = simplex_grid(stack.shape[0], opts.q_grid_denominator)
     vals = mi_batch(px[:, None, :], np.tensordot(grid, stack, axes=1))
     q = grid[np.argmin(vals, axis=1)]
     active = np.arange(len(px))
@@ -316,7 +316,7 @@ def maximize_over_simplex(
     never below ``grid_best``.
     """
     denom = opts.p_grid_denominator if dim <= 3 else _COARSE_GRID_DENOMINATOR
-    grid = np.array(list(simplex_grid(dim, denom)))
+    grid = simplex_grid(dim, denom)
     grid_vals = fn(grid)
     k = int(np.argmax(grid_vals))
     grid_best, grid_arg = float(grid_vals[k]), grid[k]
@@ -391,7 +391,7 @@ def _scan_min_over_q(
     steps of mass either way from the best point so far, until no pair gains.
     """
     denom = opts.outer_q_points - 1
-    grid = np.array(list(simplex_grid(s_size, denom)))
+    grid = simplex_grid(s_size, denom)
     vals = evaluate(grid)
     k = int(np.argmin(vals))
     q, best_v, step = grid[k], float(vals[k]), 1.0 / denom
@@ -544,13 +544,13 @@ def multiletter_bound(
     wstack = avwc.main_stack
     vstack = avwc.eaves_stack
     denom = max(4, opts.q_grid_denominator // 2) if s_size == 2 else max(2, opts.q_grid_denominator // 4)
-    q_points = list(simplex_grid(s_size, denom))
+    q_points = simplex_grid(s_size, denom)
 
     # one batched n-fold law per family: every input word is a codeword, the q's mixture at each letter
     inputs = word_matrix(a_size, n)[:, None, :]
 
     def products(stack: np.ndarray) -> np.ndarray:
-        mixed = np.tensordot(np.array(q_points), stack, axes=1)  # (Q, |A|, |B|)
+        mixed = np.tensordot(q_points, stack, axes=1)  # (Q, |A|, |B|)
         return output_law(inputs, np.broadcast_to(mixed[:, None], (len(q_points), n) + mixed.shape[1:]))
 
     y_products = products(wstack)

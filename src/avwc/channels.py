@@ -6,8 +6,9 @@ lexicographic order with the first position most significant, and that order
 is part of the contract between modules.
 
 Every n-fold memoryless law is ``output_law``: a code's output law p(y^n | j),
-the i.i.d. extension q^n and a product channel all multiply (1.0 * r_0) * r_1 * ...
-in that order, so a law is bit for bit the same whichever of them builds it.
+the i.i.d. extension q^n and the multi-letter bound's product laws all multiply
+(1.0 * r_0) * r_1 * ... in that order, so a law is bit for bit the same
+whichever of them builds it.
 """
 
 from __future__ import annotations
@@ -249,15 +250,6 @@ def sequence_symbols(s, state_count: int) -> tuple[int, ...]:
 # word enumeration (lexicographic, first position most significant)
 # ---------------------------------------------------------------------------
 
-def word_to_index(word: Sequence[int], alphabet_size: int) -> int:
-    idx = 0
-    for sym in word:
-        sym = int(sym)
-        if not 0 <= sym < alphabet_size:
-            raise ValueError(f"symbol {sym} outside alphabet of size {alphabet_size}")
-        idx = idx * alphabet_size + sym
-    return idx
-
 def index_to_word(index: int, alphabet_size: int, length: int) -> tuple[int, ...]:
     if not 0 <= index < alphabet_size**length:
         raise ValueError("word index out of range")
@@ -296,32 +288,6 @@ def mixture_channel(family: Sequence[Channel], q: Distribution) -> Channel:
     return Channel(rows)
 
 
-def product_channel_prob(
-    family: Sequence[Channel],
-    s,
-    x: Sequence[int],
-    y: Sequence[int],
-) -> float:
-    """Memoryless transition probability of y given x under the state sequence s."""
-    symbols = sequence_symbols(s, len(family))
-    if len(x) != len(symbols) or len(y) != len(symbols):
-        raise ValueError("input word, output word and state sequence must share one length")
-    prob = 1.0
-    for xi, yi, si in zip(x, y, symbols):
-        prob *= family[si].rows[int(xi), int(yi)]
-    return float(prob)
-
-
-def product_channel_matrix(family: Sequence[Channel], s) -> Channel:
-    """Full product channel for a state sequence, rows and columns in lexicographic order."""
-    symbols = sequence_symbols(s, len(family))
-    a = family[0].input_size
-    b = family[0].output_size
-    check_enumeration((a ** len(symbols)) * (b ** len(symbols)), "product channel matrix")
-    stack = np.stack([ch.rows for ch in family])[list(symbols)]
-    return Channel(output_law(word_matrix(a, len(symbols))[:, None, :], stack))
-
-
 def output_law(codewords: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """p(y^n | j), averaged over l, as a (..., J, |B|^n) array in lexicographic output order.
 
@@ -346,23 +312,17 @@ def output_law(codewords: np.ndarray, channels: np.ndarray) -> np.ndarray:
     return law.reshape(batch + (j_count, l_count, -1)).sum(axis=-2) / l_count  # mean over l, bit for bit
 
 
-def simplex_grid(dim: int, denominator: int) -> Iterator[np.ndarray]:
-    """All points with coordinates k/denominator summing to 1, lexicographic.
+def simplex_grid(dim: int, denominator: int) -> np.ndarray:
+    """All points with coordinates k/denominator summing to 1, as a lexicographic (points, dim) array.
 
     This is the stars-and-bars enumeration of compositions of ``denominator``
-    into ``dim`` parts.  With a zero denominator no point exists and nothing
-    is yielded.
+    into ``dim`` parts: a point's parts are the gaps between its dim - 1 bars.
+    With a denominator below 1 no point exists and the array is empty.
     """
     if denominator < 1:
-        return
-    for comp in itertools.combinations(range(denominator + dim - 1), dim - 1):
-        parts = []
-        prev = -1
-        for cut in comp:
-            parts.append(cut - prev - 1)
-            prev = cut
-        parts.append(denominator + dim - 2 - prev)
-        yield np.asarray(parts, dtype=float) / denominator
+        return np.zeros((0, dim))
+    bars = np.array(list(itertools.combinations(range(denominator + dim - 1), dim - 1)), dtype=int)
+    return (np.diff(bars, axis=1, prepend=-1, append=denominator + dim - 1) - 1) / denominator
 
 
 def iid_extension(q: Distribution, n: int) -> Distribution:

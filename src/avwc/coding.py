@@ -403,8 +403,6 @@ def secrecy_event_failure_bound(
 class SecrecyEventReport:
     epsilon: float
     per_message: tuple  # tuples (j, q_index, holds, max_deviation)
-    theta_mass: tuple[float, ...]
-    band_support: tuple[int, ...]
 
     @property
     def all_hold(self) -> bool:
@@ -439,8 +437,6 @@ def check_secrecy_events(
 
     slack = typicality_slack(tp.delta, avwc.input_size, avwc.eaves_output_size, n)
     per_message = []
-    theta_masses = []
-    band_supports = []
     for q_index, v_q in enumerate(avwc.eaves):
         out_entropy = entropy_from_array(p.probs @ v_q.rows)
         alpha = 2.0 ** (-n * (out_entropy + slack))
@@ -451,8 +447,6 @@ def check_secrecy_events(
             theta_raw = np.vstack([theta_raw, weighted]).sum(axis=0)  # adds row after row, as one sum would
         band = theta_raw >= epsilon * alpha
         theta = theta_raw * band
-        theta_masses.append(float(theta.sum()))
-        band_supports.append(int(band.sum()))
 
         density = typical_rows(v_q, code.codewords.reshape(-1, n), tp, out_words)
         avg = (density.reshape(code.j_count, code.l_count, -1).sum(axis=1) / code.l_count) * band  # (J, c^n)
@@ -465,9 +459,4 @@ def check_secrecy_events(
         per_message.extend(
             (j, q_index, bool(holds[j]), float(deviation[j].max())) for j in range(code.j_count)
         )
-    return SecrecyEventReport(
-        epsilon=epsilon,
-        per_message=tuple(per_message),
-        theta_mass=tuple(theta_masses),
-        band_support=tuple(band_supports),
-    )
+    return SecrecyEventReport(epsilon=epsilon, per_message=tuple(per_message))

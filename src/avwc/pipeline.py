@@ -63,11 +63,6 @@ _SUBSET_CAP = 200_000  # most prefix-codeword subsets scored exhaustively
 _RETRY_CAP = 20  # fresh draws a reduction tries before it fails
 
 
-def permute_word(word: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
-    """Positional shuffle: entry i of the result is word[sigma[i]]."""
-    return tuple(int(word[sigma[i]]) for i in range(len(sigma)))
-
-
 def _compositions(words: np.ndarray, k: int) -> np.ndarray:
     """(count, k) symbol counts of each row of an array of words over k symbols."""
     return (words[:, :, None] == np.arange(k)).sum(axis=1)
@@ -327,6 +322,8 @@ def search_prefix_code(avwc: AVWC, k_count: int, prefix_len: int) -> PrefixCode:
     most 200000 subsets and greedily otherwise.  Decoding is maximum
     likelihood under the uniform state mixture.
     """
+    if k_count < 1:
+        raise ValueError("k_count must be at least 1")
     a = avwc.input_size
     if k_count > a**prefix_len:
         raise PrefixSearchFailureError(

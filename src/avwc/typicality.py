@@ -64,13 +64,6 @@ def typical_mask(p: Distribution, tp: TypicalityParams, words: np.ndarray) -> np
     return mask
 
 
-def typical_set(p: Distribution, tp: TypicalityParams) -> list[tuple[int, ...]]:
-    """Typical words for p, in lexicographic order."""
-    words = word_matrix(p.support_size, tp.n)
-    mask = typical_mask(p, tp, words)
-    return [tuple(int(v) for v in row) for row in words[mask]]
-
-
 def cond_typical_mask(w: Channel, x_word, tp: TypicalityParams, outputs: np.ndarray) -> np.ndarray:
     """Mask of conditional typicality given ``x_word`` over the rows of ``outputs``.
 
@@ -93,13 +86,6 @@ def cond_typical_mask(w: Channel, x_word, tp: TypicalityParams, outputs: np.ndar
             if w.rows[a, b] == 0.0:
                 mask &= counts == 0
     return mask.reshape(x.shape[:-1] + (len(outputs),))
-
-
-def cond_typical_set(w: Channel, x_word, tp: TypicalityParams) -> list[tuple[int, ...]]:
-    """Conditionally typical output words given ``x_word``, lexicographic order."""
-    outputs = word_matrix(w.output_size, tp.n)
-    mask = cond_typical_mask(w, x_word, tp, outputs)
-    return [tuple(int(v) for v in row) for row in outputs[mask]]
 
 
 def typical_rows(w: Channel, x_words: np.ndarray, tp: TypicalityParams, outputs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from avwc import (
     avc_capacity,
     mixture_channel,
     multiletter_bound,
-    mutual_information,
     secrecy_lower_bound,
     secrecy_upper_bound_single_letter,
 )
@@ -81,11 +81,18 @@ def blahut_arimoto_capacity(rows, iters=2000, tol=1e-12):
 
 class TestSimplexHelpers:
     def test_grid_covers_vertices_and_sums(self):
-        points = list(simplex_grid(3, 4))
-        assert len(points) == 15
+        points = simplex_grid(3, 4)
+        assert points.shape == (15, 3)
         for point in points:
             assert point.sum() == pytest.approx(1.0)
         assert any(np.allclose(p, [1, 0, 0]) for p in points)
+        # bit for bit the lexicographic list of integer compositions, each part divided by the denominator
+        for dim in range(1, 5):
+            assert simplex_grid(dim, 0).shape == (0, dim)
+            for denom in range(1, 20):
+                parts = [c for c in itertools.product(range(denom + 1), repeat=dim) if sum(c) == denom]
+                want = np.array(parts, dtype=float) / denom
+                assert np.array_equal(simplex_grid(dim, denom).view(np.int64), want.view(np.int64))
 
     def test_inner_min_matches_dense_scan(self):
         rng = np.random.default_rng(51)
@@ -119,7 +126,7 @@ class TestSimplexHelpers:
             ]
         )
         p = np.array([0.5, 0.5])
-        grid = np.array(list(simplex_grid(3, FAST.q_grid_denominator)))
+        grid = simplex_grid(3, FAST.q_grid_denominator)
         start = grid[np.argmin([mi_from_arrays(p, np.tensordot(g, stack, axes=1)) for g in grid])]
         assert start[2] > 0.0
         (val,), (q,) = min_mi_over_mixtures(p[None], stack, FAST)
@@ -165,7 +172,7 @@ class TestBatchedOptimizers:
             ts = np.linspace(0.0, 1.0, 2001)
             grid, below = np.stack([1.0 - ts, ts], axis=1), 1e-6
         else:
-            grid, below = np.array(list(simplex_grid(s_size, 64))), 1e-3
+            grid, below = simplex_grid(s_size, 64), 1e-3
         mixtures = np.tensordot(grid, stack, axes=1)
         for p, val, q in zip(px, values, qs):
             scan = min(mi_from_arrays(p, rows) for rows in mixtures)
@@ -215,7 +222,7 @@ class TestSecrecyLowerBound:
         result = secrecy_lower_bound(degraded_two_state_avwc, FAST)
         p = result.argmax_p
         (wmin,), _ = min_mi_over_mixtures(p.probs[None], degraded_two_state_avwc.main_stack, FAST)
-        vmax = mutual_information(p, degraded_two_state_avwc.eaves[result.inner_argmax_state])
+        vmax = mi_from_arrays(p.probs, degraded_two_state_avwc.eaves[result.inner_argmax_state].rows)
         assert result.value == pytest.approx(wmin - vmax, abs=1e-9)
 
     def test_saddle_sanity(self, degraded_two_state_avwc):
@@ -283,8 +290,7 @@ class TestUpperBound:
         avwc = AVWC(main=(main,), eaves=(eaves,))
         result = secrecy_upper_bound_single_letter(avwc, u_size=3, opts=FAST)
         grid = max(
-            mutual_information(Distribution(np.array([1 - t, t])), main)
-            - mutual_information(Distribution(np.array([1 - t, t])), eaves)
+            mi_from_arrays(np.array([1 - t, t]), main.rows) - mi_from_arrays(np.array([1 - t, t]), eaves.rows)
             for t in np.linspace(0.0, 1.0, 513)
         )
         assert result.value == pytest.approx(grid, abs=1e-3)
@@ -345,9 +351,9 @@ class TestMultiletter:
 
         def info(family, q):
             rows = mixture_channel(family, Distribution(q)).rows
-            return mutual_information(pair.p_u, Channel(pair.x_given_u.rows @ np.kron(rows, rows)))
+            return mi_from_arrays(pair.p_u.probs, pair.x_given_u.rows @ np.kron(rows, rows))
 
-        grid = list(simplex_grid(2, FAST.q_grid_denominator // 2))
+        grid = simplex_grid(2, FAST.q_grid_denominator // 2)
         y_info = [info(main, q) for q in grid]
         assert np.array_equal(result.inner_argmin_q.probs, grid[int(np.argmin(y_info))])
         z_max = max(info(eaves, q) for q in grid)
@@ -378,10 +384,10 @@ def test_mixture_information_peaks_at_states():
     for _ in range(10):
         p = Distribution(rng.dirichlet(np.ones(2)))
         grid_max = max(
-            mutual_information(p, mixture_channel(family, Distribution(q)))
+            mi_from_arrays(p.probs, mixture_channel(family, Distribution(q)).rows)
             for q in simplex_grid(3, 16)
         )
-        state_max = max(mutual_information(p, ch) for ch in family)
+        state_max = max(mi_from_arrays(p.probs, ch.rows) for ch in family)
         assert grid_max <= state_max + 1e-6
         assert state_max <= grid_max + 1e-12
 

@@ -12,11 +12,8 @@ from avwc import (
     iid_extension,
     index_to_word,
     mixture_channel,
-    product_channel_matrix,
-    product_channel_prob,
-    word_to_index,
 )
-from avwc.channels import word_matrix
+from avwc.channels import output_law, word_matrix
 
 from conftest import random_channel
 
@@ -77,9 +74,8 @@ class TestAVWC:
 
 class TestWordEnumeration:
     def test_lexicographic_round_trip(self):
-        for idx in range(27):
-            word = index_to_word(idx, 3, 3)
-            assert word_to_index(word, 3) == idx
+        for idx, row in enumerate(word_matrix(3, 3)):
+            assert index_to_word(idx, 3, 3) == tuple(row)
 
     def test_word_matrix_order(self):
         words = word_matrix(2, 3)
@@ -124,32 +120,21 @@ class TestMixtureChannel:
 
 
 class TestProductChannel:
+    """W^n(. | x, s) is ``output_law`` of the one codeword x under the stack of the W_{s_i}."""
+
     def test_single_letter(self):
-        fam = [Channel.bsc(0.1), Channel.bsc(0.3)]
-        assert product_channel_prob(fam, (1,), (0,), (1,)) == pytest.approx(0.3)
+        stack = np.stack([Channel.bsc(0.1).rows, Channel.bsc(0.3).rows])
+        law = output_law(np.array([[[0]]]), stack[[1]])
+        assert law[0] == pytest.approx([0.7, 0.3])
 
     def test_noiseless_identity(self):
-        fam = [Channel.identity(2)]
-        assert product_channel_prob(fam, (0, 0, 0), (1, 0, 1), (1, 0, 1)) == 1.0
+        law = output_law(np.array([[[1, 0, 1]]]), np.stack([np.eye(2)] * 3))
+        assert np.array_equal(law[0], np.eye(8)[0b101])
 
     def test_hand_multiplication(self):
-        fam = [Channel.bsc(0.1), Channel.bsc(0.1)]
-        assert product_channel_prob(fam, (0, 1), (0, 0), (0, 1)) == pytest.approx(0.9 * 0.1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            product_channel_prob([Channel.bsc(0.1)], (0,), (0, 1), (0,))
-
-    def test_rows_sum_to_one_over_outputs(self):
-        rng = np.random.default_rng(2)
-        fam = [random_channel(rng, 2, 3) for _ in range(2)]
-        for seq in itertools.product(range(2), repeat=3):
-            for x in itertools.product(range(2), repeat=3):
-                total = sum(
-                    product_channel_prob(fam, seq, x, y)
-                    for y in itertools.product(range(3), repeat=3)
-                )
-                assert total == pytest.approx(1.0, abs=1e-9)
+        stack = np.stack([Channel.bsc(0.1).rows] * 2)
+        law = output_law(np.array([[[0, 0]]]), stack[[0, 1]])
+        assert law[0] == pytest.approx([0.9 * 0.9, 0.9 * 0.1, 0.1 * 0.9, 0.1 * 0.1])
 
 
 class TestIIDExtension:
@@ -177,20 +162,21 @@ def test_mixture_of_products_equals_product_of_mixture():
     """State-averaging commutes with taking n-fold products under an i.i.d. law."""
     rng = np.random.default_rng(3)
     family = [random_channel(rng, 2, 2) for _ in range(2)]
+    stack = np.stack([ch.rows for ch in family])
     q = Distribution(np.array([0.35, 0.65]))
     for n in range(1, 5):
         ext = iid_extension(q, n)
-        averaged = np.zeros((2**n, 2**n))
-        for idx, seq in enumerate(itertools.product(range(2), repeat=n)):
-            averaged += ext.probs[idx] * product_channel_matrix(family, seq).rows
-        mixed = mixture_channel(family, q)
-        direct = product_channel_matrix([mixed], (0,) * n).rows
+        inputs = word_matrix(2, n)[:, None, :]
+        # one product law per state sequence, in the extension's lexicographic order
+        averaged = np.tensordot(ext.probs, output_law(inputs, stack[word_matrix(2, n)]), axes=1)
+        mixed = mixture_channel(family, q).rows
+        direct = output_law(inputs, np.broadcast_to(mixed, (n,) + mixed.shape))
         assert np.max(np.abs(averaged - direct)) <= 1e-9
 
 
 def test_decoding_probability_never_exceeds_one():
     """Disjoint decoding sets: total decode probability is at most one, exactly."""
-    from avwc import ERASURE, WiretapCode, error_probability
+    from avwc import WiretapCode, error_probability
 
     avwc = AVWC(main=(Channel.bsc(0.2), Channel.bsc(0.3)), eaves=(Channel.bsc(0.4), Channel.bsc(0.4)))
     code = WiretapCode(
@@ -199,10 +185,6 @@ def test_decoding_probability_never_exceeds_one():
         decoder=np.array([0, 0, 1, 1]),
     )
     for seq in itertools.product(range(2), repeat=2):
-        for j in range(2):
-            probs = [
-                product_channel_prob(list(avwc.main), seq, code.codewords[j, 0], y)
-                for y in itertools.product(range(2), repeat=2)
-            ]
-            assert sum(probs) <= 1.0 + 1e-12
+        law = output_law(code.codewords, avwc.main_stack[list(seq)])  # p(y | j), one row per message
+        assert law.sum(axis=1).max() <= 1.0 + 1e-12
         assert 0.0 <= error_probability(code, avwc, seq) <= 1.0

@@ -29,7 +29,7 @@ from avwc import (
 )
 from avwc import channels
 from avwc.coding import RandomCode, codebook_rates, output_law, sequence_table
-from avwc.typicality import typical_set
+from avwc.typicality import typical_mask
 
 
 def binary_entropy(x):
@@ -118,7 +118,8 @@ class TestCodebookRates:
         avwc = AVWC(main=(Channel.bsc(0.05),), eaves=(Channel.bsc(0.45),))
         p = Distribution(np.array([0.3, 0.7]))
         code = build_random_codebook(p, avwc, 6, 0.15, seed=4, delta=0.2)
-        allowed = set(typical_set(p, TypicalityParams(6, 0.2)))
+        words = channels.word_matrix(2, 6)
+        allowed = {tuple(w) for w in words[typical_mask(p, TypicalityParams(6, 0.2), words)]}
         for word in code.codewords.reshape(-1, 6):
             assert tuple(word) in allowed
 
@@ -251,8 +252,9 @@ class TestSecrecyEvents:
         avwc = AVWC(main=(Channel.bsc(0.05),), eaves=(Channel.bsc(0.3),))
         p = Distribution.uniform(2)
         tp = TypicalityParams(6, 0.2)
-        words = typical_set(p, tp)
-        codewords = np.array(words).reshape(1, len(words), 6)
+        words = channels.word_matrix(2, 6)
+        typical = words[typical_mask(p, tp, words)]
+        codewords = typical.reshape(1, len(typical), 6)
         code = make_code(codewords, 2, 2)
         report = check_secrecy_events(code, avwc, tp, p=p)
         assert report.all_hold
@@ -369,3 +371,4 @@ def test_output_law_is_bit_identical_to_the_broadcast_product(n, a, b, j_count, 
     want = _broadcast_product_output_law(codewords, stacks)
     assert got.shape == batch + (j_count, b**n)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(np.abs(got.sum(axis=-1) - 1.0) <= 1e-12)  # each p(. | j) is a law over the outputs

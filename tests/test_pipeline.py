@@ -33,7 +33,7 @@ from avwc import (
 from avwc import channels, coding, pipeline
 from avwc.channels import index_to_word
 from avwc.coding import RandomCode, first_maximum, sequence_table
-from avwc.pipeline import PermutationFamily, permute_word, type_class_sequences
+from avwc.pipeline import PermutationFamily, type_class_sequences
 
 import bruteforce_reference as brute
 
@@ -76,7 +76,7 @@ class TestPermutationFamily:
             sigma = family.permutation(int(index))
             member = family[int(index)]
             for s in ((0, 1, 1, 0), (1, 0, 0, 0), (0, 0, 1, 1)):
-                permuted = permute_word(s, sigma)
+                permuted = tuple(s[i] for i in sigma)
                 assert error_probability(member, pipeline_avwc, s) == pytest.approx(
                     error_probability(pipeline_code, pipeline_avwc, permuted), abs=1e-14
                 )
@@ -270,6 +270,11 @@ class TestPrefixSearch:
     def test_overfull_message_set_raises(self, pipeline_avwc):
         with pytest.raises(PrefixSearchFailureError):
             search_prefix_code(pipeline_avwc, 9, 3)
+
+    @pytest.mark.parametrize("k_count", [0, -1])
+    def test_message_count_below_one_raises(self, pipeline_avwc, k_count):
+        with pytest.raises(ValueError, match="k_count must be at least 1"):
+            search_prefix_code(pipeline_avwc, k_count, 3)
 
     @pytest.mark.parametrize("prefix_len", range(4))
     def test_full_message_set_uses_every_word_once(self, pipeline_avwc, prefix_len):

@@ -3,9 +3,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from avwc import Channel, Distribution, find_best_eaves_channel, mixture_channel, mutual_information
+from avwc import Channel, Distribution, find_best_eaves_channel, mixture_channel
 from avwc import test_degraded as degradedness_test
 from avwc import test_symmetrisable as symmetrisability_test
+from avwc.information import mi_from_arrays
 from avwc.structure import symmetrisation_residual
 
 from conftest import random_distribution
@@ -47,8 +48,8 @@ class TestDegraded:
         report = degradedness_test(Channel.bsc(0.1), Channel.identity(2), 1e-8)
         assert not report.degraded
         # data processing: the cleaner channel carries more information
-        p = Distribution.uniform(2)
-        assert mutual_information(p, Channel.identity(2)) > mutual_information(p, Channel.bsc(0.1))
+        p = Distribution.uniform(2).probs
+        assert mi_from_arrays(p, Channel.identity(2).rows) > mi_from_arrays(p, Channel.bsc(0.1).rows)
 
     def test_self_degraded(self):
         ch = Channel(np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]]))
@@ -65,7 +66,7 @@ class TestDegraded:
         assert report.degraded
         for _ in range(20):
             p = random_distribution(rng, 2)
-            assert mutual_information(p, other) <= mutual_information(p, base) + 1e-9
+            assert mi_from_arrays(p.probs, other.rows) <= mi_from_arrays(p.probs, base.rows) + 1e-9
 
 
 class TestBestEavesChannel:
@@ -96,11 +97,11 @@ class TestBestEavesChannel:
         for _ in range(10):
             p = random_distribution(rng, 2)
             grid_max = max(
-                mutual_information(p, mixture_channel(family, Distribution(np.array([1 - t, t]))))
+                mi_from_arrays(p.probs, mixture_channel(family, Distribution(np.array([1 - t, t]))).rows)
                 for t in np.linspace(0.0, 1.0, 65)
             )
-            state_max = max(mutual_information(p, ch) for ch in family)
-            at_star = mutual_information(p, mixture_channel(family, report.q_star))
+            state_max = max(mi_from_arrays(p.probs, ch.rows) for ch in family)
+            at_star = mi_from_arrays(p.probs, mixture_channel(family, report.q_star).rows)
             assert abs(grid_max - state_max) <= 1e-6
             assert at_star >= grid_max - 1e-6
 

@@ -9,8 +9,6 @@ from avwc import (
     Channel,
     Distribution,
     TypicalityParams,
-    cond_typical_set,
-    typical_set,
     verify_typicality_bounds,
 )
 from avwc import channels
@@ -21,38 +19,45 @@ from avwc.typicality import cond_typical_mask, typical_mask
 class TestTypicalSet:
     def test_huge_delta_keeps_support_constraint(self):
         p = Distribution(np.array([0.5, 0.5, 0.0]))
-        words = typical_set(p, TypicalityParams(2, 1.0))
-        assert words == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        words = word_matrix(3, 2)
+        mask = typical_mask(p, TypicalityParams(2, 1.0), words)
+        assert words[mask].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_uniform_binary_example(self):
-        words = typical_set(Distribution.uniform(2), TypicalityParams(2, 0.25))
-        assert words == [(0, 1), (1, 0)]
+        p, tp = Distribution.uniform(2), TypicalityParams(2, 0.25)
+        mask = typical_mask(p, tp, word_matrix(2, 2))
+        assert word_matrix(2, 2)[mask].tolist() == [[0, 1], [1, 0]]
         # total probability of the set is exactly one half
-        assert sum(0.25 for _ in words) == pytest.approx(0.5)
+        assert channels.iid_extension(p, 2).probs[mask].sum() == 0.5
 
     def test_point_mass(self):
-        words = typical_set(Distribution.point_mass(2, 1), TypicalityParams(3, 0.1))
-        assert words == [(1, 1, 1)]
+        words = word_matrix(2, 3)
+        mask = typical_mask(Distribution.point_mass(2, 1), TypicalityParams(3, 0.1), words)
+        assert words[mask].tolist() == [[1, 1, 1]]
 
     def test_lexicographic_order(self):
-        words = typical_set(Distribution.uniform(2), TypicalityParams(4, 0.3))
-        assert words == sorted(words)
+        words = word_matrix(2, 4)
+        mask = typical_mask(Distribution.uniform(2), TypicalityParams(4, 0.3), words)
+        assert words[mask].tolist() == sorted(words[mask].tolist())
 
 
 class TestCondTypicalSet:
     def test_noiseless_channel(self):
-        words = cond_typical_set(Channel.identity(2), (0, 1, 1), TypicalityParams(3, 0.05))
-        assert words == [(0, 1, 1)]
+        outputs = word_matrix(2, 3)
+        mask = cond_typical_mask(Channel.identity(2), (0, 1, 1), TypicalityParams(3, 0.05), outputs)
+        assert outputs[mask].tolist() == [[0, 1, 1]]
 
     def test_symmetric_half_flip(self):
-        words = cond_typical_set(Channel.bsc(0.5), (0, 0), TypicalityParams(2, 0.25))
-        assert words == [(0, 1), (1, 0)]
+        outputs = word_matrix(2, 2)
+        mask = cond_typical_mask(Channel.bsc(0.5), (0, 0), TypicalityParams(2, 0.25), outputs)
+        assert outputs[mask].tolist() == [[0, 1], [1, 0]]
 
     def test_huge_delta_respects_zero_transitions(self):
         ch = Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
-        words = cond_typical_set(ch, (0, 1), TypicalityParams(2, 1.0))
+        outputs = word_matrix(2, 2)
+        mask = cond_typical_mask(ch, (0, 1), TypicalityParams(2, 1.0), outputs)
         # first position can only produce output 0
-        assert words == [(0, 0), (0, 1)]
+        assert outputs[mask].tolist() == [[0, 0], [0, 1]]
 
     def test_contained_in_output_typical_set(self):
         """Conditional typicality inside the widened output typical set."""
@@ -62,8 +67,6 @@ class TestCondTypicalSet:
             w = Channel(rng.dirichlet(np.ones(2), size=2))
             tp = TypicalityParams(5, 0.15)
             out = Distribution(p.probs @ w.rows)
-            from avwc.channels import word_matrix
-
             outputs = word_matrix(2, 5)
             wide_mask = typical_mask(out, TypicalityParams(5, 2 * 2 * 0.15), outputs)
             in_words = word_matrix(2, 5)
@@ -106,7 +109,7 @@ class TestVerifyBounds:
         # no length-3 word has per-symbol frequency within 0.1 of one half
         p = Distribution.uniform(2)
         report = verify_typicality_bounds(p, Channel.bsc(0.1), TypicalityParams(3, 0.1))
-        assert typical_set(p, TypicalityParams(3, 0.1)) == []
+        assert not typical_mask(p, TypicalityParams(3, 0.1), word_matrix(2, 3)).any()
         assert report.passed
 
 
