@@ -136,6 +136,15 @@ class TestProductChannel:
         law = output_law(np.array([[[0, 0]]]), stack[[0, 1]])
         assert law[0] == pytest.approx([0.9 * 0.9, 0.9 * 0.1, 0.1 * 0.9, 0.1 * 0.1])
 
+    def test_rows_sum_to_one_over_outputs(self):
+        rng = np.random.default_rng(2)
+        stack = np.stack([random_channel(rng, 2, 3).rows for _ in range(2)])
+        inputs = word_matrix(2, 3)[:, None, :]  # every x^3 as a one-codeword message
+        for seq in itertools.product(range(2), repeat=3):
+            law = output_law(inputs, stack[list(seq)])
+            assert law.shape == (8, 27)
+            assert np.allclose(law.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+
 
 class TestIIDExtension:
     def test_point_mass(self):
